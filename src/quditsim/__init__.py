@@ -46,6 +46,7 @@ from .numerics import (
 from .simulator import (
     MeasurementTable,
     RunResult,
+    StateTooLargeError,
     StateVector,
     apply_gate,
     basis_state,

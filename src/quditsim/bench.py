@@ -2,7 +2,9 @@
 
 For each dimension, circuits of fixed gate count are grown one qudit at a
 time and the wall time of a full run (state allocation through measurement)
-is recorded; probing stops after the first run over budget. Circuits draw
+is recorded; probing stops after the first run over budget, or at the first
+cell whose state would not fit in physical memory, which is recorded
+without being run (completed=False, wall_seconds 0). Circuits draw
 each of `depth` gates uniformly from {X, Z, H, CX} (CX excluded on a single
 wire) and measure every qudit at the end.
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .circuit import Circuit, GateSpec
 from .gates import GateKind
-from .simulator import run
+from .simulator import StateTooLargeError, run
 
 CSV_COLUMNS = ("dimension", "n_qudits", "wall_seconds", "completed", "seed")
 
@@ -95,8 +97,9 @@ def _cell_seeds(config_seed: int, d: int, n: int) -> tuple[int, int]:
 
 def scaling_sweep(config: BenchConfig, progress: Callable[[BenchRow], None] | None = None) -> list[BenchRow]:
     """Probe each dimension with growing qudit counts until a run exceeds the
-    budget (that row is recorded with completed=False) or max_qudits is hit.
-    One warm-up run per dimension is discarded before timing."""
+    budget or its state would not fit in memory (that row is recorded with
+    completed=False) or max_qudits is hit. One warm-up run per dimension is
+    discarded before timing."""
     rows: list[BenchRow] = []
     for d in config.dims:
         circuit_seed, run_seed = _cell_seeds(config.seed, d, 0)
@@ -106,9 +109,13 @@ def scaling_sweep(config: BenchConfig, progress: Callable[[BenchRow], None] | No
             circuit_seed, run_seed = _cell_seeds(config.seed, d, n)
             circuit = random_circuit(n, d, config.depth, circuit_seed)
             start = time.perf_counter()
-            run(circuit, config.repetitions, seed=run_seed)
-            wall = time.perf_counter() - start
-            row = BenchRow(d, n, wall, wall <= config.budget_per_run, config.seed)
+            try:
+                run(circuit, config.repetitions, seed=run_seed)
+            except StateTooLargeError:
+                row = BenchRow(d, n, 0.0, False, config.seed)
+            else:
+                wall = time.perf_counter() - start
+                row = BenchRow(d, n, wall, wall <= config.budget_per_run, config.seed)
             rows.append(row)
             if progress is not None:
                 progress(row)

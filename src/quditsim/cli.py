@@ -5,8 +5,9 @@ prints the final state vector, `run` samples measurements and prints one
 "key=digits" line per key, `bench` runs the scaling sweep and writes CSV.
 
 Exit codes: 0 success, 1 usage or file I/O error, 2 circuit parse or
-validation error. When --seed is omitted for a sampling command, a 64-bit
-seed is drawn from OS entropy and echoed on stderr for reproducibility.
+validation error, including a state too large for physical memory. When
+--seed is omitted for a sampling command, a 64-bit seed is drawn from OS
+entropy and echoed on stderr for reproducibility.
 """
 
 from __future__ import annotations

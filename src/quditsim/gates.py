@@ -5,6 +5,10 @@ the quadratic phase gate S, and the diagonal third-level gate U8 (prime
 dimensions only). Two-qudit gates: CNOT and CZ at uniform dimension. All
 builders use the primitive root of unity omega_d = exp(2*pi*i/d); with this
 convention H is the discrete Fourier transform and H X H^dag = Z holds.
+
+Powers of built-in gates are reduced modulo the gate's order and built
+exactly: phase exponents and index shifts are integers taken mod the order,
+so no power drifts and every power costs as much as the base gate.
 """
 
 from __future__ import annotations
@@ -51,19 +55,52 @@ def _require_dim(d: int) -> None:
         raise ValueError(f"gate dimension must be >= 2, got {d}")
 
 
+def _shift_power(d: int, k: int) -> np.ndarray:
+    """X^k: |s> -> |s+k mod d>."""
+    m = np.zeros((d, d), dtype=complex)
+    s = np.arange(d)
+    m[(s + k) % d, s] = 1.0
+    return m
+
+
+def _phase_power(denominator: int, exponents, k: int) -> np.ndarray:
+    """diag(exp(2*pi*i * k*e / denominator)) with k*e reduced exactly first."""
+    e = (np.asarray(exponents) * (k % denominator)) % denominator
+    return np.diag(np.exp(2j * np.pi * e / denominator))
+
+
+def _z_phases(d: int) -> tuple[int, np.ndarray]:
+    return d, np.arange(d)
+
+
+def _s_phases(d: int) -> tuple[int, np.ndarray]:
+    s = np.arange(d)
+    return 2 * d, (s * (s + d % 2)) % (2 * d)
+
+
+def _cz_phases(d: int) -> tuple[int, np.ndarray]:
+    r, s = np.divmod(np.arange(d * d), d)
+    return d, (r * s) % d
+
+
+def _cnot_power(d: int, k: int) -> np.ndarray:
+    """CNOT^k: |r>|s> -> |r>|s + k*r mod d>."""
+    m = np.zeros((d * d, d * d), dtype=complex)
+    r, s = np.divmod(np.arange(d * d), d)
+    m[r * d + (s + k * r) % d, r * d + s] = 1.0
+    return m
+
+
 def x_matrix(d: int) -> np.ndarray:
     """Cyclic shift |s> -> |s+1 mod d>."""
     _require_dim(d)
-    m = np.zeros((d, d), dtype=complex)
-    for s in range(d):
-        m[(s + 1) % d, s] = 1.0
-    return m
+    return _shift_power(d, 1)
 
 
 def z_matrix(d: int) -> np.ndarray:
     """Diagonal phase |s> -> omega^s |s>."""
     _require_dim(d)
-    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return _phase_power(*_z_phases(d), 1)
 
 
 def h_matrix(d: int) -> np.ndarray:
@@ -81,27 +118,19 @@ def s_matrix(d: int) -> np.ndarray:
     of unity and S^d = I; for even d the half-integer exponents make S^(2d) = I.
     """
     _require_dim(d)
-    p = d % 2
-    s = np.arange(d)
-    exponents = (s * (s + p)) % (2 * d)
-    return np.diag(np.exp(2j * np.pi * exponents / (2 * d)))
+    return _phase_power(*_s_phases(d), 1)
 
 
 def cz_matrix(d: int) -> np.ndarray:
     """Diagonal two-qudit gate |r>|s> -> omega^(r*s) |r>|s>."""
     _require_dim(d)
-    r, s = np.divmod(np.arange(d * d), d)
-    return np.diag(np.exp(2j * np.pi * ((r * s) % d) / d))
+    return _phase_power(*_cz_phases(d), 1)
 
 
 def cnot_matrix(d: int) -> np.ndarray:
     """Permutation |r>|s> -> |r>|r+s mod d>; wire 0 controls, wire 1 is target."""
     _require_dim(d)
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        for s in range(d):
-            m[r * d + (r + s) % d, r * d + s] = 1.0
-    return m
+    return _cnot_power(d, 1)
 
 
 def u8_phase_exponents(d: int) -> tuple[int, tuple[int, ...]]:
@@ -132,18 +161,44 @@ def u8_phase_exponents(d: int) -> tuple[int, tuple[int, ...]]:
 
 def u8_matrix(d: int) -> np.ndarray:
     """Diagonal non-Clifford gate at prime dimension; see u8_phase_exponents."""
-    denominator, exponents = u8_phase_exponents(d)
-    return np.diag(np.exp(2j * np.pi * np.asarray(exponents) / denominator))
+    return _phase_power(*u8_phase_exponents(d), 1)
 
 
-_BUILDERS = {
-    GateKind.X: x_matrix,
-    GateKind.Z: z_matrix,
-    GateKind.H: h_matrix,
-    GateKind.S: s_matrix,
-    GateKind.U8: u8_matrix,
-    GateKind.CNOT: cnot_matrix,
-    GateKind.CZ: cz_matrix,
+def _h_power(d: int, k: int) -> np.ndarray:
+    """H^k for 0 <= k < 4: H^2 is the parity permutation |s> -> |-s mod d>,
+    and H^3 = H^dag, which is conj(H) because H is symmetric."""
+    if k == 0:
+        return np.eye(d, dtype=complex)
+    if k == 2:
+        m = np.zeros((d, d), dtype=complex)
+        s = np.arange(d)
+        m[(-s) % d, s] = 1.0
+        return m
+    h = h_matrix(d)
+    return h if k == 1 else h.conj()
+
+
+def gate_order(kind: GateKind, d: int) -> int:
+    """A period of the gate: kind^order = I. d for X, Z, CNOT and CZ; d (odd
+    d) or 2d (even d) for S; the phase denominator for U8; 4 for H."""
+    if kind is GateKind.H:
+        return 4
+    if kind is GateKind.S:
+        return d if d % 2 else 2 * d
+    if kind is GateKind.U8:
+        return u8_phase_exponents(d)[0]
+    return d
+
+
+# kind -> (d, k) -> kind^k for 0 <= k < gate_order(kind, d), built exactly.
+_POWERS = {
+    GateKind.X: _shift_power,
+    GateKind.Z: lambda d, k: _phase_power(*_z_phases(d), k),
+    GateKind.H: _h_power,
+    GateKind.S: lambda d, k: _phase_power(*_s_phases(d), k),
+    GateKind.U8: lambda d, k: _phase_power(*u8_phase_exponents(d), k),
+    GateKind.CNOT: _cnot_power,
+    GateKind.CZ: lambda d, k: _phase_power(*_cz_phases(d), k),
 }
 
 
@@ -225,20 +280,18 @@ def custom(matrix: np.ndarray, dims, label: str | None = None) -> GateSpec:
 
 
 def resolve(spec: GateSpec) -> np.ndarray:
-    """Concrete unitary for a spec: build (or validate) the base matrix and
-    raise it to spec.power, negative powers via the adjoint."""
+    """Concrete unitary for a spec: the base matrix raised to spec.power,
+    negative powers via the adjoint. Built-in kinds reduce the power modulo
+    the gate's order and build the result exactly, so any power costs as
+    much as the base gate; CUSTOM powers use repeated squaring."""
+    power = spec.power
     if spec.kind is GateKind.CUSTOM:
         base = spec.custom_matrix
         if not is_unitary(base, UNITARY_TOL):
             raise ValueError("custom matrix is not unitary")
-    else:
-        builder = _BUILDERS[spec.kind]
-        base = builder(spec.dims[0])
-    power = spec.power
-    if power < 0:
-        base = base.conj().T
-        power = -power
-    out = np.eye(base.shape[0], dtype=complex)
-    for _ in range(power):
-        out = base @ out
-    return out
+        if power < 0:
+            base = base.conj().T
+        return np.linalg.matrix_power(base, abs(power)).copy()
+    d = spec.dims[0]
+    out = _POWERS[spec.kind](d, abs(power) % gate_order(spec.kind, d))
+    return out.conj().T if power < 0 else out

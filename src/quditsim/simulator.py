@@ -1,10 +1,31 @@
 """Mixed-radix statevector evolution, measurement with collapse, and
 repetition sampling.
 
-The gate kernel never materializes a full-space unitary: the state is viewed
-as a tensor with one axis per wire, the gate tensor is contracted into the
-targeted axes, and the axes are moved back in place. Cost is O(D * k) to
-apply a k x k gate matrix to D amplitudes, versus O(D^2) for a dense multiply.
+No kernel materializes a full-space unitary. Each gate op is planned once,
+from the nonzero pattern of its resolved matrix, into one of three kernel
+classes:
+
+- diagonal: the diagonal becomes a phase tensor over the target axes that
+  is broadcast into the state (Z, S, U8, CZ and their powers, and diagonal
+  CUSTOM gates);
+- permutation: a monomial matrix, exactly one nonzero in every row and
+  column, sends each target basis state to its image, times its phase when
+  that is not 1 (X, CNOT and their powers, H^2). When the trailing block of
+  wires that holds every target is small, this is one gather with an index
+  map over that block; otherwise it is one strided slice copy per target
+  basis state;
+- dense: on one wire, a matmul over the (L, d, R) view of the state, or a
+  single GEMM on the (L, d*R) view with kron(U, I_R) when the trailing
+  block d*R is small; a dense gate on several wires falls back to a tensor
+  contraction into the targeted axes.
+
+`simulate` allocates two flat amplitude buffers once, after checking that
+they fit in physical memory. Permutation and dense kernels, and every
+collapse, read one buffer and write the other, and the two swap roles; a
+diagonal kernel is elementwise and runs in place. So no op but the
+multi-wire contraction allocates a state, and the spare buffer is dropped
+before returning. `apply_gate` runs the same plan into a fresh output buffer and
+never mutates its input.
 
 Randomness is driven by numpy's SeedSequence/PCG64. `run` derives one child
 SeedSequence per repetition via `SeedSequence(seed).spawn(repetitions)`, so
@@ -14,9 +35,11 @@ concurrently.
 
 from __future__ import annotations
 
+import os
 import secrets
 from dataclasses import dataclass, field
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +48,42 @@ from .gates import resolve
 from .numerics import check_dims, mixed_radix_decode, mixed_radix_encode
 
 NORM_TOL = 1e-8
+AMPLITUDE_BYTES = np.dtype(complex).itemsize
+DIAGONAL, PERMUTATION, DENSE = "diagonal", "permutation", "dense"
+# A one-wire dense gate whose trailing block d*R is at most this is folded
+# into one GEMM with kron(U, I_R): R-fold flops, but no per-block BLAS call.
+FOLD_MAX = 64
+# A permutation whose targets lie in a trailing block of at most this many
+# amplitudes is one gather with an index map over that block; otherwise it
+# moves one slice per target basis state.
+GATHER_MAX = 1 << 16
+# The diagonal kernel spells its phases out over a trailing block of at least
+# this many amplitudes, so numpy's inner loop stays long on the last wires.
+MIN_INNER = 1024
+
+
+class StateTooLargeError(ValueError):
+    """The amplitude buffers a state needs exceed physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_fits(dims, buffers: int) -> None:
+    """Refuse, before allocating, `buffers` states over dims that would not
+    fit in physical memory."""
+    need = prod(dims) * AMPLITUDE_BYTES * buffers
+    cap = _physical_memory()
+    if cap is not None and need > cap:
+        raise StateTooLargeError(
+            f"{buffers} state buffer(s) of {prod(dims)} amplitudes need {need / 2**30:.3g} GiB, "
+            f"more than the {cap / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,20 +157,145 @@ class RunResult:
 def basis_state(dims, digits) -> StateVector:
     """|digits> over the given dims: amplitude 1 at the encoded index."""
     dims = check_dims(dims)
+    index = mixed_radix_encode(digits, dims)
+    _check_fits(dims, 1)
     amps = np.zeros(prod(dims), dtype=complex)
-    amps[mixed_radix_encode(digits, dims)] = 1.0
+    amps[index] = 1.0
     return StateVector(dims, amps)
 
 
-def _apply_kernel(amps: np.ndarray, dims, matrix: np.ndarray, wires) -> np.ndarray:
-    """Contract a gate into the targeted axes of the state tensor."""
-    k = len(wires)
+Kernel = Callable[[np.ndarray, np.ndarray], None]
+
+
+@dataclass(frozen=True)
+class GateKernel:
+    """A gate planned for one register. `apply(src, dst)` writes the gate's
+    action on the flat amplitudes `src` into `dst`, a buffer of the same
+    size; `kind` is DIAGONAL, PERMUTATION or DENSE. Only a DIAGONAL kernel,
+    which is elementwise, may be given `dst is src`."""
+
+    kind: str
+    apply: Kernel
+
+
+def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
+    """Classify a gate by its matrix's nonzero pattern and build its kernel."""
+    dims = tuple(dims)
+    nonzero = matrix != 0
+    if np.count_nonzero(nonzero) == np.count_nonzero(np.diagonal(nonzero)):
+        return GateKernel(DIAGONAL, _diagonal_kernel(dims, np.diagonal(matrix), wires))
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        return GateKernel(PERMUTATION, _permutation_kernel(dims, matrix, wires))
+    if len(wires) == 1:
+        return GateKernel(DENSE, _dense_kernel(dims, matrix, wires[0]))
+    return GateKernel(DENSE, _contraction_kernel(dims, matrix, wires))
+
+
+def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> Kernel:
+    """Multiply by the diagonal as a phase tensor over the targeted axes."""
+    n = len(dims)
+    tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
+    tensor = tensor.reshape([dims[a] if a in wires else 1 for a in range(n)])
+    split = n
+    while split > 0 and prod(dims[split:]) < MIN_INNER:
+        split -= 1
+    view = dims[:split] + (prod(dims[split:]),)
+    phase = np.broadcast_to(tensor, tensor.shape[:split] + dims[split:]).reshape(tensor.shape[:split] + (-1,))
+
+    def apply(src, dst):
+        np.multiply(src.reshape(view), phase, out=dst.reshape(view))
+
+    return apply
+
+
+def _at_digits(dims, wires, digits) -> tuple:
+    """Index of the sub-array where each targeted wire holds its digit. The
+    trailing Ellipsis keeps the result an array even when every wire is
+    targeted."""
+    index = [slice(None)] * len(dims)
+    for wire, digit in zip(wires, digits):
+        index[wire] = int(digit)
+    return (*index, Ellipsis)
+
+
+def _permutation_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
+    """Send each target basis state to its image, times its phase: one
+    gather over the trailing block that holds every target when that block
+    is small, else one strided slice copy per target basis state."""
     target_dims = tuple(dims[w] for w in wires)
-    psi = amps.reshape(dims)
-    gate = np.asarray(matrix, dtype=complex).reshape(target_dims * 2)
-    psi = np.tensordot(gate, psi, axes=(tuple(range(k, 2 * k)), tuple(wires)))
-    psi = np.moveaxis(psi, range(k), wires)
-    return np.ascontiguousarray(psi).reshape(-1)
+    rows = np.argmax(matrix != 0, axis=0)  # image of each target basis state
+    phases = matrix[rows, np.arange(rows.size)]
+    first = min(wires)
+    block = prod(dims[first:])
+    if block <= GATHER_MAX:
+        # For every output position of the block, the position it comes from.
+        digits = list(np.unravel_index(np.arange(block), dims[first:]))
+        preimage = np.argsort(rows)[np.ravel_multi_index([digits[w - first] for w in wires], target_dims)]
+        for w, digit in zip(wires, np.unravel_index(preimage, target_dims)):
+            digits[w - first] = digit
+        source = np.ravel_multi_index(digits, dims[first:])
+        phase = None if (phases == 1).all() else phases[preimage]
+        view = (prod(dims[:first]), block)
+
+        def apply(src, dst):
+            out = dst.reshape(view)
+            # mode="wrap" (indices are in range anyway): the default "raise"
+            # buffers `out`, a hidden full-state copy.
+            np.take(src.reshape(view), source, axis=1, out=out, mode="wrap")
+            if phase is not None:
+                np.multiply(out, phase, out=out)
+
+        return apply
+
+    moves = [
+        (
+            _at_digits(dims, wires, np.unravel_index(row, target_dims)),
+            _at_digits(dims, wires, np.unravel_index(col, target_dims)),
+            complex(phases[col]),
+        )
+        for col, row in enumerate(rows)
+    ]
+
+    def apply(src, dst):
+        psi, out = src.reshape(dims), dst.reshape(dims)
+        for to, frm, phase in moves:
+            if phase == 1:
+                out[to] = psi[frm]
+            else:
+                np.multiply(psi[frm], phase, out=out[to])
+
+    return apply
+
+
+def _dense_kernel(dims, matrix: np.ndarray, wire: int) -> Kernel:
+    """Matmul on the (L, d, R) view, or one GEMM when d*R is small."""
+    d = dims[wire]
+    lead, trail = prod(dims[:wire]), prod(dims[wire + 1:])
+    if d * trail <= FOLD_MAX:
+        view = (lead, d * trail)
+        folded = np.ascontiguousarray(np.kron(matrix, np.eye(trail)).T)
+
+        def apply(src, dst):
+            np.matmul(src.reshape(view), folded, out=dst.reshape(view))
+    else:
+        view = (lead, d, trail)
+
+        def apply(src, dst):
+            np.matmul(matrix, src.reshape(view), out=dst.reshape(view))
+
+    return apply
+
+
+def _contraction_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
+    """Contract a dense multi-wire gate into the targeted axes."""
+    k = len(wires)
+    gate = matrix.reshape(tuple(dims[w] for w in wires) * 2)
+
+    def apply(src, dst):
+        psi = np.tensordot(gate, src.reshape(dims), axes=(tuple(range(k, 2 * k)), wires))
+        np.copyto(dst.reshape(dims), np.moveaxis(psi, range(k), wires))
+
+    return apply
 
 
 def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
@@ -129,23 +313,26 @@ def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
             f"matrix shape {matrix.shape} does not match target dims "
             f"{tuple(state.dims[w] for w in wires)}"
         )
-    return StateVector(state.dims, _apply_kernel(state.amps, state.dims, matrix, wires))
+    out = np.empty_like(state.amps)
+    plan_gate(state.dims, matrix, wires).apply(state.amps, out)
+    return StateVector(state.dims, out)
 
 
-def _measure_digit(amps: np.ndarray, dims, wire: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Sample the wire's marginal, collapse, renormalize."""
-    psi = amps.reshape(dims)
+def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, rng: np.random.Generator) -> int:
+    """Sample the wire's marginal of `src`; write the collapsed, renormalized
+    state into `dst`."""
+    psi = src.reshape(dims)
     other_axes = tuple(a for a in range(len(dims)) if a != wire)
     probs = np.abs(psi) ** 2
     if other_axes:
         probs = probs.sum(axis=other_axes)
     probs = probs / probs.sum()
     digit = int(rng.choice(dims[wire], p=probs))
-    sel = [slice(None)] * len(dims)
-    sel[wire] = digit
-    collapsed = np.zeros_like(psi)
-    collapsed[tuple(sel)] = psi[tuple(sel)] / np.sqrt(probs[digit])
-    return digit, collapsed.reshape(-1)
+    view = (prod(dims[:wire]), dims[wire], prod(dims[wire + 1:]))
+    out = dst.reshape(view)
+    out.fill(0)
+    np.divide(src.reshape(view)[:, digit], np.sqrt(probs[digit]), out=out[:, digit])
+    return digit
 
 
 def simulate(
@@ -159,27 +346,34 @@ def simulate(
     only matters when the circuit measures; it may be an int or a Generator.
     """
     dims = circuit.dims
+    if initial is not None and initial.dims != dims:
+        raise ValueError(
+            f"initial state dims {initial.dims} do not match circuit dims {dims}"
+        )
+    _check_fits(dims, 2)
     if initial is None:
-        amps = np.zeros(prod(dims), dtype=complex)
-        amps[0] = 1.0
+        src = np.zeros(prod(dims), dtype=complex)
+        src[0] = 1.0
     else:
-        if initial.dims != dims:
-            raise ValueError(
-                f"initial state dims {initial.dims} do not match circuit dims {dims}"
-            )
-        amps = initial.amps.copy()
+        src = initial.amps.copy()
+    dst = np.empty_like(src)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     table = MeasurementTable()
     for op in circuit.ops:
         if isinstance(op, Measurement):
             wire = circuit.wire_index(op.wire)
-            digit, amps = _measure_digit(amps, dims, wire, rng)
-            table.add(op.key, dims[wire], digit)
+            table.add(op.key, dims[wire], _measure_digit(src, dst, dims, wire, rng))
         else:
             wires = tuple(circuit.wire_index(w) for w in op.wires)
-            amps = _apply_kernel(amps, dims, resolve(op.spec), wires)
-    return StateVector(dims, amps), table
+            kernel = plan_gate(dims, resolve(op.spec), wires)
+            if kernel.kind == DIAGONAL:
+                kernel.apply(src, src)  # elementwise, so it may run in place
+                continue
+            kernel.apply(src, dst)
+        src, dst = dst, src
+    del dst
+    return StateVector(dims, src), table
 
 
 def _measurements_are_terminal(circuit: Circuit) -> bool:

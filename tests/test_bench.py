@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from quditsim import simulator
 from quditsim import BenchConfig, GateKind, Measurement, random_circuit, scaling_sweep
 from quditsim.bench import CSV_COLUMNS, completed_frontier, frontier_is_monotonic, write_csv
 from quditsim.circuit import GateApplication
@@ -76,6 +77,18 @@ def test_tiny_budget_marks_first_row_incomplete():
         (5, 1, False),
         (7, 1, False),
     ]
+
+
+def test_cell_over_physical_memory_is_recorded_incomplete_without_running(monkeypatch):
+    # Two 2^3-amplitude buffers fit in 256 B; the 4-qubit cell would need 512 B.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2 * 8 * 16)
+    rows = scaling_sweep(BenchConfig(dims=(2,), budget_per_run=60.0, seed=5, max_qudits=10))
+    assert [(r.n_qudits, r.completed) for r in rows] == [(1, True), (2, True), (3, True), (4, False)]
+    assert rows[-1].wall_seconds == 0.0
+    out = io.StringIO()
+    write_csv(rows, out)
+    assert out.getvalue().splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert out.getvalue().splitlines()[-1] == "2,4,0.000000,false,5"
 
 
 def test_sweep_respects_max_qudits_and_is_deterministic():

@@ -53,6 +53,23 @@ def test_run_is_byte_identical_for_equal_seeds(capsys):
     assert first.out == second.out and first.out
 
 
+@pytest.mark.parametrize("name", ["ghz3", "midcircuit"])
+def test_run_matches_golden_table(name, capsys):
+    # Pinned from the contraction-kernel simulator: sampling and collapse
+    # changes must keep seeded tables byte-identical.
+    assert cli(["run", str(CIRCUITS / f"{name}.qdc"), "--reps", "25", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"run_{name}_reps25_seed7.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--seed", "1"], ["run", "--reps", "2", "--seed", "1"]])
+def test_register_over_physical_memory_exits_2_with_one_line(command, tmp_path, capsys):
+    path = tmp_path / "huge.qdc"
+    path.write_text("dim 2\n" + "".join(f"qudit q{i}\n" for i in range(41)) + "H q0\nM q0\n")
+    assert cli([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err and err.count("\n") == 1
+
+
 def test_run_without_seed_echoes_replayable_seed(capsys):
     assert cli(["run", str(CIRCUITS / "ghz3.qdc"), "--reps", "5"]) == 0
     captured = capsys.readouterr()

@@ -1,8 +1,10 @@
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 
+from quditsim.gates import gate_order
 from quditsim import (
     GateKind,
     GateSpec,
@@ -256,6 +258,45 @@ def test_resolve_negative_power_is_adjoint():
         np.diag([1, w**-1, w**-2, w**-3]),
         atol=1e-12,
     )
+
+
+def test_resolve_huge_power_is_exact_and_fast():
+    start = time.perf_counter()
+    m = resolve(single("Z", 5, power=100000))
+    assert time.perf_counter() - start < 0.05
+    assert np.array_equal(m, np.eye(5))
+    assert np.array_equal(resolve(single("X", 7, power=-7 * 10**30 - 1)), resolve(single("X", 7, power=-1)))
+
+
+def _spec(kind, d, power):
+    if kind in ("CNOT", "CZ"):
+        return two_qudit(kind, d, power=power)
+    return single(kind, d, power=power)
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [(k, d) for k in ("X", "Z", "H", "S", "CNOT", "CZ") for d in (2, 3, 4, 5, 6)]
+    + [("U8", d) for d in (2, 3, 5, 7)],
+)
+def test_resolve_equals_repeated_product(kind, d):
+    base = resolve(_spec(kind, d, 1))
+    order = gate_order(GateKind(kind), d)
+    assert np.array_equal(resolve(_spec(kind, d, order)), np.eye(base.shape[0]))
+    for k in range(-2 * order, 2 * order + 1):
+        factor = base if k > 0 else base.conj().T
+        expected = np.eye(base.shape[0], dtype=complex)
+        for _ in range(abs(k)):
+            expected = factor @ expected
+        np.testing.assert_allclose(resolve(_spec(kind, d, k)), expected, rtol=0, atol=1e-12, err_msg=f"{kind}^{k}")
+
+
+def test_resolve_custom_power_and_adjoint():
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    spec = GateSpec(GateKind.CUSTOM, (3,), power=-5, custom_matrix=u)
+    np.testing.assert_allclose(resolve(spec), matpow(u.conj().T, 5), atol=1e-12)
+    assert np.array_equal(resolve(GateSpec(GateKind.CUSTOM, (3,), power=0, custom_matrix=u)), np.eye(3))
 
 
 def test_resolve_custom_passes_through():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from quditsim import simulator
 from quditsim import (
     Circuit,
+    StateTooLargeError,
     MEASURE,
     StateVector,
     apply_gate,
@@ -278,3 +280,38 @@ def test_formatted_digits_use_commas_above_base_ten():
     circuit, _, _ = build(12, ("H", "q0"), (MEASURE, "q0"))
     result = run(circuit, 6, seed=4)
     assert result.table.formatted("m_q0").count(",") == 5
+
+
+# --- memory preflight ---
+
+
+def _register(n, d=2) -> Circuit:
+    c = Circuit()
+    for i in range(n):
+        c.add_qudit(f"q{i}", d)
+    return c
+
+
+def test_simulate_refuses_41_qubits_before_allocating():
+    with pytest.raises(StateTooLargeError, match="physical memory") as info:
+        simulate(_register(41))
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(StateTooLargeError):
+        basis_state((2,) * 41, (0,) * 41)
+
+
+def test_preflight_counts_two_buffers(monkeypatch):
+    # 2^6 amplitudes of 16 B: one buffer is 1 KiB, two are 2 KiB.
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2048)
+    final, _ = simulate(_register(6))
+    assert final.amps[0] == 1
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 2047)
+    with pytest.raises(StateTooLargeError):
+        simulate(_register(6))
+    basis_state((2,) * 6, (0,) * 6)  # one buffer still fits
+
+
+def test_preflight_is_skipped_when_memory_is_unknown(monkeypatch):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: None)
+    final, _ = simulate(_register(3))
+    assert final.amps[0] == 1
