@@ -9,6 +9,8 @@ convention H is the discrete Fourier transform and H X H^dag = Z holds.
 Powers of built-in gates are reduced modulo the gate's order and built
 exactly: phase exponents and index shifts are integers taken mod the order,
 so no power drifts and every power costs as much as the base gate.
+`resolve` refuses, before building it, a matrix larger than physical
+memory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .numerics import is_unitary
+from .numerics import _physical_memory, check_memory, is_unitary
 
 UNITARY_TOL = 1e-12
 
@@ -283,7 +285,12 @@ def resolve(spec: GateSpec) -> np.ndarray:
     """Concrete unitary for a spec: the base matrix raised to spec.power,
     negative powers via the adjoint. Built-in kinds reduce the power modulo
     the gate's order and build the result exactly, so any power costs as
-    much as the base gate; CUSTOM powers use repeated squaring."""
+    much as the base gate; CUSTOM powers use repeated squaring. A matrix
+    that would not fit in physical memory raises StateTooLargeError before
+    it is built."""
+    side = prod(spec.dims)
+    check_memory(side * side * np.dtype(complex).itemsize, _physical_memory(),
+                 f"the {side}x{side} matrix of {spec.kind}")
     power = spec.power
     if spec.kind is GateKind.CUSTOM:
         base = spec.custom_matrix

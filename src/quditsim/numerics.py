@@ -3,15 +3,40 @@
 Roots of unity, Kronecker products, unitarity checks, and mixed-radix index
 arithmetic over per-wire dimensions. Matrices are plain numpy complex arrays;
 a "radix profile" is just a tuple of per-wire dimensions whose product equals
-the length of any flat amplitude array it indexes.
+the length of any flat amplitude array it indexes. The memory check here
+refuses a state or gate matrix that would not fit in physical memory
+before anything allocates it.
 """
 
 from __future__ import annotations
 
+import os
 from functools import reduce
 from math import prod
 
 import numpy as np
+
+
+class StateTooLargeError(ValueError):
+    """A state or gate matrix would need more bytes than physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_memory(need: int, cap: int | None, what: str) -> None:
+    """Refuse, before allocating, `need` bytes for `what` when they exceed
+    `cap`, the physical memory (None when unknown, which skips the check)."""
+    if cap is not None and need > cap:
+        raise StateTooLargeError(
+            f"{what} would take {need / 2**30:.3g} GiB, more than the "
+            f"{cap / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def check_dims(dims) -> tuple[int, ...]:

@@ -30,12 +30,19 @@ never mutates its input.
 Randomness is driven by numpy's SeedSequence/PCG64. `run` derives one child
 SeedSequence per repetition via `SeedSequence(seed).spawn(repetitions)`, so
 repetition i sees the same stream whether repetitions execute serially or
-concurrently.
+concurrently. Every sample is drawn by one exact sampler, `_draw`, which
+does what `Generator.choice(len(p), p=p)` does, bit for bit: it builds one
+CDF per distribution and finds each uniform's index with one `searchsorted`.
+When every measurement is terminal, `run` evolves the state once, builds the
+CDF of the final distribution once, draws one uniform from each repetition's
+stream and samples all repetitions with one `searchsorted`: O(D + reps*log D)
+for D amplitudes. Otherwise every repetition replays gates planned once per
+`run`, and each mid-circuit measurement draws one uniform from that
+repetition's stream.
 """
 
 from __future__ import annotations
 
-import os
 import secrets
 from dataclasses import dataclass, field
 from math import prod
@@ -43,9 +50,16 @@ from typing import Callable
 
 import numpy as np
 
-from .circuit import Circuit, GateApplication, Measurement
+from .circuit import Circuit, Measurement
 from .gates import resolve
-from .numerics import check_dims, mixed_radix_decode, mixed_radix_encode
+from .numerics import (
+    StateTooLargeError,
+    _physical_memory,
+    check_dims,
+    check_memory,
+    mixed_radix_decode,  # noqa: F401  (perfbench's trace wraps it under this module)
+    mixed_radix_encode,
+)
 
 NORM_TOL = 1e-8
 AMPLITUDE_BYTES = np.dtype(complex).itemsize
@@ -62,28 +76,15 @@ GATHER_MAX = 1 << 16
 MIN_INNER = 1024
 
 
-class StateTooLargeError(ValueError):
-    """The amplitude buffers a state needs exceed physical memory."""
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the OS does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
+# Generator.choice's tolerance on the sum of its probabilities.
+PROBABILITY_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _check_fits(dims, buffers: int) -> None:
     """Refuse, before allocating, `buffers` states over dims that would not
     fit in physical memory."""
-    need = prod(dims) * AMPLITUDE_BYTES * buffers
-    cap = _physical_memory()
-    if cap is not None and need > cap:
-        raise StateTooLargeError(
-            f"{buffers} state buffer(s) of {prod(dims)} amplitudes need {need / 2**30:.3g} GiB, "
-            f"more than the {cap / 2**30:.3g} GiB of physical memory"
-        )
+    check_memory(prod(dims) * AMPLITUDE_BYTES * buffers, _physical_memory(),
+                 f"{buffers} state buffer(s) of {prod(dims)} amplitudes")
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,11 @@ class MeasurementTable:
 
     def add(self, key: str, dim: int, digit: int) -> None:
         self.records.setdefault(key, []).append(digit)
+        self.key_dims[key] = dim
+
+    def extend(self, key: str, dim: int, digits) -> None:
+        """Append one digit per repetition to a key's column in one call."""
+        self.records.setdefault(key, []).extend(map(int, digits))
         self.key_dims[key] = dim
 
     def repetitions(self) -> int:
@@ -318,6 +324,19 @@ def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
     return StateVector(state.dims, out)
 
 
+def _draw(probs: np.ndarray, uniforms):
+    """Indices drawn from the distribution `probs` by the given uniforms in
+    [0, 1), exactly as `Generator.choice(len(probs), p=probs)` draws from
+    the uniform it takes from its stream. The checks on `probs` are
+    choice's, made once per distribution however many uniforms there are."""
+    total = probs.sum()
+    if not np.isfinite(total) or probs.min() < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
 def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, rng: np.random.Generator) -> int:
     """Sample the wire's marginal of `src`; write the collapsed, renormalized
     state into `dst`."""
@@ -327,7 +346,7 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, rng: np.ra
     if other_axes:
         probs = probs.sum(axis=other_axes)
     probs = probs / probs.sum()
-    digit = int(rng.choice(dims[wire], p=probs))
+    digit = int(_draw(probs, rng.random()))
     view = (prod(dims[:wire]), dims[wire], prod(dims[wire + 1:]))
     out = dst.reshape(view)
     out.fill(0)
@@ -335,15 +354,48 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, rng: np.ra
     return digit
 
 
+def _plan(circuit: Circuit, measure: bool = True):
+    """Yield one step per op in program order: a gate's planned kernel, or
+    a measurement's (wire index, key). Measurements are left out unless
+    `measure`."""
+    dims = circuit.dims
+    for op in circuit.ops:
+        if not isinstance(op, Measurement):
+            yield plan_gate(dims, resolve(op.spec), tuple(circuit.wire_index(w) for w in op.wires))
+        elif measure:
+            yield circuit.wire_index(op.wire), op.key
+
+
+def _evolve(steps, dims, src: np.ndarray, dst: np.ndarray, rng, table: MeasurementTable):
+    """Apply the steps to the amplitudes in `src`, with `dst` as the spare
+    buffer; a measurement samples from `rng`, records into `table` and
+    collapses. Returns (buffer holding the final state, spare buffer)."""
+    for step in steps:
+        if isinstance(step, GateKernel):
+            if step.kind == DIAGONAL:
+                step.apply(src, src)  # elementwise, so it may run in place
+                continue
+            step.apply(src, dst)
+        else:
+            wire, key = step
+            table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, rng))
+        src, dst = dst, src
+    return src, dst
+
+
 def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
     seed: int | np.random.Generator | None = None,
+    *,
+    measure: bool = True,
 ) -> tuple[StateVector, MeasurementTable]:
     """Run ops in program order; measurements sample, record, and collapse.
 
     Returns the final state and the single-shot measurement record. `seed`
     only matters when the circuit measures; it may be an int or a Generator.
+    With `measure=False` measurements are skipped: the state is the one the
+    circuit's gates alone produce, and the record is empty.
     """
     dims = circuit.dims
     if initial is not None and initial.dims != dims:
@@ -356,22 +408,9 @@ def simulate(
         src[0] = 1.0
     else:
         src = initial.amps.copy()
-    dst = np.empty_like(src)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
     table = MeasurementTable()
-    for op in circuit.ops:
-        if isinstance(op, Measurement):
-            wire = circuit.wire_index(op.wire)
-            table.add(op.key, dims[wire], _measure_digit(src, dst, dims, wire, rng))
-        else:
-            wires = tuple(circuit.wire_index(w) for w in op.wires)
-            kernel = plan_gate(dims, resolve(op.spec), wires)
-            if kernel.kind == DIAGONAL:
-                kernel.apply(src, src)  # elementwise, so it may run in place
-                continue
-            kernel.apply(src, dst)
-        src, dst = dst, src
+    src, dst = _evolve(_plan(circuit, measure), dims, src, np.empty_like(src), rng, table)
     del dst
     return StateVector(dims, src), table
 
@@ -392,9 +431,11 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     """Sample the circuit's measurements over independent repetitions.
 
     Each repetition draws from its own SeedSequence child stream. When every
-    measurement is terminal, the state is evolved once and the joint final
-    distribution is sampled per repetition; otherwise each repetition
-    re-executes with mid-circuit collapse.
+    measurement is terminal, the state is evolved once, the CDF of its joint
+    distribution is built once, one uniform is drawn from each repetition's
+    stream, and one `searchsorted` samples every repetition. Otherwise the
+    gates are planned once and each repetition replays them with mid-circuit
+    collapse, drawing each measurement's uniform from its own stream.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -408,23 +449,22 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     table = MeasurementTable()
     dims = circuit.dims
     if _measurements_are_terminal(circuit):
-        gates_only = Circuit()
-        for q in circuit.qudits:
-            gates_only.add_qudit(q.name, q.dimension)
-        gates_only.extend(op for op in circuit.ops if isinstance(op, GateApplication))
-        final, _ = simulate(gates_only)
+        final, _ = simulate(circuit, measure=False)
         probs = np.abs(final.amps) ** 2
-        probs = probs / probs.sum()
-        for stream in streams:
-            rng = np.random.default_rng(stream)
-            index = int(rng.choice(len(probs), p=probs))
-            digits = mixed_radix_decode(index, dims)
-            for m in measurements:
-                wire = circuit.wire_index(m.wire)
-                table.add(m.key, dims[wire], digits[wire])
+        del final  # so the state and the CDF are never held at once
+        probs /= probs.sum()
+        uniforms = [np.random.Generator(np.random.PCG64(stream)).random() for stream in streams]
+        digits = np.unravel_index(_draw(probs, uniforms), dims)
+        for m in measurements:
+            wire = circuit.wire_index(m.wire)
+            table.extend(m.key, dims[wire], digits[wire])
     else:
+        _check_fits(dims, 2)
+        steps = list(_plan(circuit))
+        src = np.empty(prod(dims), dtype=complex)
+        dst = np.empty_like(src)
         for stream in streams:
-            _, shot = simulate(circuit, seed=np.random.default_rng(stream))
-            for key, digits in shot.records.items():
-                table.add(key, shot.key_dims[key], digits[0])
+            src.fill(0)
+            src[0] = 1.0
+            src, dst = _evolve(steps, dims, src, dst, np.random.Generator(np.random.PCG64(stream)), table)
     return RunResult(table=table, repetitions=repetitions, seed=seed)

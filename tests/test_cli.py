@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from quditsim import gates
 from quditsim.cli import cli
 
 CIRCUITS = Path(__file__).parent.parent / "circuits"
@@ -68,6 +69,17 @@ def test_register_over_physical_memory_exits_2_with_one_line(command, tmp_path, 
     assert cli([command[0], str(path), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "physical memory" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["simulate", "--seed", "1"], ["run", "--reps", "2", "--seed", "1"]])
+def test_gate_matrix_over_physical_memory_exits_2_with_one_line(command, tmp_path, capsys, monkeypatch):
+    # The state of one d=100 qudit fits; its 100 x 100 X matrix (160,000 B) does not.
+    monkeypatch.setattr(gates, "_physical_memory", lambda: 159_999)
+    path = tmp_path / "wide.qdc"
+    path.write_text("qudit q0 100\nX q0\nM q0\n")
+    assert cli([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "100x100 matrix of X" in err and err.count("\n") == 1
 
 
 def test_run_without_seed_echoes_replayable_seed(capsys):

@@ -4,10 +4,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from quditsim import gates
 from quditsim.gates import gate_order
 from quditsim import (
     GateKind,
     GateSpec,
+    StateTooLargeError,
     cnot_matrix,
     custom,
     cz_matrix,
@@ -345,3 +347,16 @@ def test_spec_rejects_composite_u8():
 def test_spec_rejects_tiny_dimension():
     with pytest.raises(ValueError):
         single("X", 1)
+
+
+def test_resolve_refuses_a_matrix_over_physical_memory(monkeypatch):
+    # Every gate below is a 100 x 100 complex matrix: 160,000 B.
+    specs = [single("X", 100), single("H", 100, power=3), two_qudit("CZ", 10), custom(np.eye(100), (100,))]
+    monkeypatch.setattr(gates, "_physical_memory", lambda: 160_000)
+    assert all(resolve(spec).shape == (100, 100) for spec in specs)
+    monkeypatch.setattr(gates, "_physical_memory", lambda: 159_999)
+    for spec in specs:
+        with pytest.raises(StateTooLargeError, match="100x100 matrix .* physical memory"):
+            resolve(spec)
+    monkeypatch.setattr(gates, "_physical_memory", lambda: None)  # unknown: no check
+    assert resolve(specs[0]).shape == (100, 100)

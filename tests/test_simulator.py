@@ -207,6 +207,13 @@ def test_measured_state_collapses_to_observed_digit():
     assert abs(abs(final.amps[digit]) - 1.0) <= 1e-10
 
 
+def test_simulate_without_measuring_skips_every_measurement():
+    measured, _, _ = build(3, ("H", "q0"), (MEASURE, "q0"), ("CNOT", ("q0", "q1")), (MEASURE, "q1"))
+    bare, _, _ = build(3, ("H", "q0"), ("CNOT", ("q0", "q1")))
+    final, table = simulate(measured, measure=False)
+    assert final == simulate(bare)[0] and table.records == {}
+
+
 # --- run ---
 
 
