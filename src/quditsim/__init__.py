@@ -50,6 +50,7 @@ from .simulator import (
     StateVector,
     apply_gate,
     basis_state,
+    release_buffers,
     run,
     simulate,
 )

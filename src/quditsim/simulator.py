@@ -19,13 +19,17 @@ classes:
   block d*R is small; a dense gate on several wires falls back to a tensor
   contraction into the targeted axes.
 
-`simulate` allocates two flat amplitude buffers once, after checking that
+`simulate` takes two flat amplitude buffers once, after checking that
 they fit in physical memory. Permutation and dense kernels, and every
 collapse, read one buffer and write the other, and the two swap roles; a
 diagonal kernel is elementwise and runs in place. So no op but the
-multi-wire contraction allocates a state, and the spare buffer is dropped
-before returning. `apply_gate` runs the same plan into a fresh output buffer and
-never mutates its input.
+multi-wire contraction allocates a state. The spare buffer is kept, with
+every buffer `run` ends with, for the next call on a register of the same
+size: at most two, released when a register of another size asks for
+buffers, or by `release_buffers()`. Memory that stays mapped costs no page
+faults, and first-touch faults of a fresh state are as slow as a gate and,
+on a shared host, erratic. `apply_gate` runs the same plan into a fresh
+output buffer and never mutates its input.
 
 Randomness is driven by numpy's SeedSequence/PCG64. `run` derives one child
 SeedSequence per repetition via `SeedSequence(seed).spawn(repetitions)`, so
@@ -44,6 +48,7 @@ repetition's stream.
 from __future__ import annotations
 
 import secrets
+import threading
 from dataclasses import dataclass, field
 from math import prod
 from typing import Callable
@@ -85,6 +90,38 @@ def _check_fits(dims, buffers: int) -> None:
     fit in physical memory."""
     check_memory(prod(dims) * AMPLITUDE_BYTES * buffers, _physical_memory(),
                  f"{buffers} state buffer(s) of {prod(dims)} amplitudes")
+
+
+_kept: list[np.ndarray] = []
+_kept_lock = threading.Lock()
+
+
+def _buffer(size: int) -> np.ndarray:
+    """An uninitialized flat buffer of `size` amplitudes: a kept one when one
+    of that size is kept, else a new one. Kept buffers of another size are
+    released first."""
+    with _kept_lock:
+        if _kept and _kept[0].size == size:
+            return _kept.pop()
+        _kept.clear()
+    return np.empty(size, dtype=complex)
+
+
+def _keep(*buffers: np.ndarray) -> None:
+    """Keep buffers that nothing else refers to for the next `_buffer` call,
+    at most two, all of one size."""
+    with _kept_lock:
+        for buf in buffers:
+            if _kept and _kept[0].size != buf.size:
+                _kept.clear()
+            if len(_kept) < 2:
+                _kept.append(buf)
+
+
+def release_buffers() -> None:
+    """Free the state buffers `simulate` and `run` keep between calls."""
+    with _kept_lock:
+        _kept.clear()
 
 
 @dataclass(frozen=True)
@@ -324,15 +361,16 @@ def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
     return StateVector(state.dims, out)
 
 
-def _draw(probs: np.ndarray, uniforms):
+def _draw(probs: np.ndarray, uniforms, out: np.ndarray | None = None):
     """Indices drawn from the distribution `probs` by the given uniforms in
     [0, 1), exactly as `Generator.choice(len(probs), p=probs)` draws from
     the uniform it takes from its stream. The checks on `probs` are
-    choice's, made once per distribution however many uniforms there are."""
+    choice's, made once per distribution however many uniforms there are.
+    The CDF is built in `out` when given, a float array of len(probs)."""
     total = probs.sum()
     if not np.isfinite(total) or probs.min() < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
-    cdf = probs.cumsum()
+    cdf = np.cumsum(probs, out=out)
     cdf /= cdf[-1]
     return cdf.searchsorted(uniforms, side="right")
 
@@ -403,15 +441,16 @@ def simulate(
             f"initial state dims {initial.dims} do not match circuit dims {dims}"
         )
     _check_fits(dims, 2)
+    src = _buffer(prod(dims))
     if initial is None:
-        src = np.zeros(prod(dims), dtype=complex)
+        src.fill(0)
         src[0] = 1.0
     else:
-        src = initial.amps.copy()
+        np.copyto(src, initial.amps)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     table = MeasurementTable()
-    src, dst = _evolve(_plan(circuit, measure), dims, src, np.empty_like(src), rng, table)
-    del dst
+    src, dst = _evolve(_plan(circuit, measure), dims, src, _buffer(src.size), rng, table)
+    _keep(dst)
     return StateVector(dims, src), table
 
 
@@ -449,22 +488,27 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     table = MeasurementTable()
     dims = circuit.dims
     if _measurements_are_terminal(circuit):
-        final, _ = simulate(circuit, measure=False)
-        probs = np.abs(final.amps) ** 2
-        del final  # so the state and the CDF are never held at once
+        amps = simulate(circuit, measure=False)[0].amps
+        # |psi|^2 and its CDF fill the two float halves of the spare buffer.
+        spare = _buffer(amps.size).view(float)
+        probs = np.abs(amps, out=spare[:amps.size])
+        np.square(probs, out=probs)
+        _keep(amps)
         probs /= probs.sum()
         uniforms = [np.random.Generator(np.random.PCG64(stream)).random() for stream in streams]
-        digits = np.unravel_index(_draw(probs, uniforms), dims)
+        index = _draw(probs, uniforms, out=spare[amps.size:])
+        _keep(spare.view(complex))
+        digits = np.unravel_index(index, dims)
         for m in measurements:
             wire = circuit.wire_index(m.wire)
             table.extend(m.key, dims[wire], digits[wire])
     else:
         _check_fits(dims, 2)
         steps = list(_plan(circuit))
-        src = np.empty(prod(dims), dtype=complex)
-        dst = np.empty_like(src)
+        src, dst = _buffer(prod(dims)), _buffer(prod(dims))
         for stream in streams:
             src.fill(0)
             src[0] = 1.0
             src, dst = _evolve(steps, dims, src, dst, np.random.Generator(np.random.PCG64(stream)), table)
+        _keep(src, dst)
     return RunResult(table=table, repetitions=repetitions, seed=seed)

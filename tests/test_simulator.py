@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -322,3 +325,77 @@ def test_preflight_is_skipped_when_memory_is_unknown(monkeypatch):
     monkeypatch.setattr(simulator, "_physical_memory", lambda: None)
     final, _ = simulate(_register(3))
     assert final.amps[0] == 1
+
+
+# --- buffers kept between calls ---
+
+
+def test_kept_buffers_never_alias_a_state_handed_out():
+    circuit = ghz_circuit(3, 3)
+    measured, _, _ = build(3, ("H", ["q0", "q2"]), ("CNOT", ["q0", "q1"]), *[(MEASURE, f"q{i}") for i in range(3)])
+    first, _ = simulate(circuit)
+    expected = first.amps.copy()
+    run(measured, 20, seed=3)
+    second, _ = simulate(measured, measure=False)
+    third, _ = simulate(circuit, initial=first)
+    assert np.array_equal(first.amps, expected)
+    for a, b in [(first, second), (first, third), (second, third)]:
+        assert not np.shares_memory(a.amps, b.amps)
+
+
+def test_at_most_two_buffers_of_one_size_are_kept():
+    simulator.release_buffers()
+    assert simulator._kept == []
+    measured, _, _ = build(3, ("H", ["q0", "q1", "q2"]), (MEASURE, "q0"), ("H", "q0"), (MEASURE, "q1"))
+    run(measured, 5, seed=1)  # mid-circuit path
+    assert [b.size for b in simulator._kept] == [27, 27]
+    simulate(ghz_circuit(2, 5))
+    assert [b.size for b in simulator._kept] == [25]
+    run(build(3, ("H", ["q0", "q1", "q2"]), (MEASURE, "q0"))[0], 5, seed=1)  # terminal path
+    assert [b.size for b in simulator._kept] == [27, 27]
+    simulator.release_buffers()
+    assert simulator._kept == []
+
+
+def test_kept_buffers_leave_tables_and_states_unchanged():
+    rng = np.random.default_rng(11)
+    circuit = random_mixed_circuit(rng)
+    simulator.release_buffers()
+    fresh, _ = simulate(circuit)
+    reused, _ = simulate(circuit)
+    assert fresh == reused
+    measured, _, _ = build(3, ("H", "q0"), ("CNOT", ["q0", "q1"]), (MEASURE, "q0"), ("H", "q0"), (MEASURE, "q1"))
+    simulator.release_buffers()
+    tables = [run(measured, 50, seed=9).table.lines() for _ in range(3)]
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_kept_buffers_are_handed_to_one_thread_at_a_time():
+    simulator.release_buffers()
+    errors = []
+
+    def work(tag):
+        try:
+            for _ in range(3000):
+                buf = simulator._buffer(8)
+                buf.fill(tag)
+                if not (buf == tag).all():
+                    errors.append(f"thread {tag} shares a buffer")
+                simulator._keep(buf)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(simulator._kept) <= 2
+    simulator.release_buffers()
