@@ -80,6 +80,7 @@ class Circuit:
     def __init__(self):
         self._registry: dict[str, QuditRef] = {}
         self.ops: list[CircuitOp] = []
+        self._keys: set[str] = set()  # measurement keys, so append checks in O(1)
 
     @property
     def qudits(self) -> tuple[QuditRef, ...]:
@@ -119,8 +120,9 @@ class Circuit:
         for wire in _op_wires(op):
             self._register(wire)
         if isinstance(op, Measurement):
-            if op.key in self.measurement_keys():
+            if op.key in self._keys:
                 raise ValueError(f"measurement key '{op.key}' already used")
+            self._keys.add(op.key)
         self.ops.append(op)
         return self
 

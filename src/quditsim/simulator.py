@@ -19,17 +19,18 @@ classes:
   block d*R is small; a dense gate on several wires falls back to a tensor
   contraction into the targeted axes.
 
-`simulate` takes two flat amplitude buffers once, after checking that
-they fit in physical memory. Permutation and dense kernels, and every
-collapse, read one buffer and write the other, and the two swap roles; a
-diagonal kernel is elementwise and runs in place. So no op but the
-multi-wire contraction allocates a state. The spare buffer is kept, with
-every buffer `run` ends with, for the next call on a register of the same
-size: at most two, released when a register of another size asks for
-buffers, or by `release_buffers()`. Memory that stays mapped costs no page
-faults, and first-touch faults of a fresh state are as slow as a gate and,
-on a shared host, erratic. `apply_gate` runs the same plan into a fresh
-output buffer and never mutates its input.
+`_evolve`, the one driver behind `simulate` and both paths of `run`, takes
+two flat amplitude buffers once, after checking that they fit in physical
+memory. Permutation and dense kernels, and every collapse, read one buffer
+and write the other, and the two swap roles; a diagonal kernel is
+elementwise and runs in place. `_born` writes |psi|^2, for a collapse or
+for terminal sampling, into the spare buffer. So only the multi-wire
+contraction allocates a state, and it is planned only when four states fit.
+Both buffers are kept for the next call on a register of the same size,
+released when another size asks for buffers or by `release_buffers()`:
+mapped memory costs no page faults, and first-touch faults of a fresh state
+are as slow as a gate and, on a shared host, erratic. `apply_gate` runs the
+same plan into a fresh output buffer and never mutates its input.
 
 Randomness is driven by numpy's SeedSequence/PCG64. `run` derives one child
 SeedSequence per repetition via `SeedSequence(seed).spawn(repetitions)`, so
@@ -107,15 +108,14 @@ def _buffer(size: int) -> np.ndarray:
     return np.empty(size, dtype=complex)
 
 
-def _keep(*buffers: np.ndarray) -> None:
-    """Keep buffers that nothing else refers to for the next `_buffer` call,
-    at most two, all of one size."""
+def _keep(buf: np.ndarray) -> None:
+    """Keep a buffer that nothing else refers to for the next `_buffer` call;
+    at most two are kept, all of one size."""
     with _kept_lock:
-        for buf in buffers:
-            if _kept and _kept[0].size != buf.size:
-                _kept.clear()
-            if len(_kept) < 2:
-                _kept.append(buf)
+        if _kept and _kept[0].size != buf.size:
+            _kept.clear()
+        if len(_kept) < 2:
+            _kept.append(buf)
 
 
 def release_buffers() -> None:
@@ -231,6 +231,7 @@ def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
         return GateKernel(PERMUTATION, _permutation_kernel(dims, matrix, wires))
     if len(wires) == 1:
         return GateKernel(DENSE, _dense_kernel(dims, matrix, wires[0]))
+    _check_fits(dims, 4)  # the two buffers, tensordot's transposed copy and its result
     return GateKernel(DENSE, _contraction_kernel(dims, matrix, wires))
 
 
@@ -375,15 +376,21 @@ def _draw(probs: np.ndarray, uniforms, out: np.ndarray | None = None):
     return cdf.searchsorted(uniforms, side="right")
 
 
+def _born(amps: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """|amps|^2, written into the first float half of `spare`, a complex
+    buffer of the same size."""
+    probs = np.abs(amps, out=spare.view(float)[:amps.size])
+    return np.square(probs, out=probs)
+
+
 def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, rng: np.random.Generator) -> int:
     """Sample the wire's marginal of `src`; write the collapsed, renormalized
     state into `dst`."""
-    psi = src.reshape(dims)
+    probs = _born(src, dst).reshape(dims)
     other_axes = tuple(a for a in range(len(dims)) if a != wire)
-    probs = np.abs(psi) ** 2
     if other_axes:
         probs = probs.sum(axis=other_axes)
-    probs = probs / probs.sum()
+    probs = probs / probs.sum()  # out of place: `dst` is cleared below
     digit = int(_draw(probs, rng.random()))
     view = (prod(dims[:wire]), dims[wire], prod(dims[wire + 1:]))
     out = dst.reshape(view)
@@ -404,21 +411,31 @@ def _plan(circuit: Circuit, measure: bool = True):
             yield circuit.wire_index(op.wire), op.key
 
 
-def _evolve(steps, dims, src: np.ndarray, dst: np.ndarray, rng, table: MeasurementTable):
-    """Apply the steps to the amplitudes in `src`, with `dst` as the spare
-    buffer; a measurement samples from `rng`, records into `table` and
-    collapses. Returns (buffer holding the final state, spare buffer)."""
-    for step in steps:
-        if isinstance(step, GateKernel):
-            if step.kind == DIAGONAL:
-                step.apply(src, src)  # elementwise, so it may run in place
-                continue
-            step.apply(src, dst)
+def _evolve(steps, rngs, dims, initial: StateVector | None, table: MeasurementTable) -> np.ndarray:
+    """For each Generator in `rngs`, start from `initial` (|0...0> when None)
+    and apply `steps` (reused, so a list when there are several) on the two
+    state buffers; a measurement samples from that Generator, records into
+    `table` and collapses. Keeps the spare; returns the last state's buffer."""
+    _check_fits(dims, 2)
+    src, dst = _buffer(prod(dims)), _buffer(prod(dims))
+    for rng in rngs:
+        if initial is None:
+            src.fill(0)
+            src[0] = 1.0
         else:
-            wire, key = step
-            table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, rng))
-        src, dst = dst, src
-    return src, dst
+            np.copyto(src, initial.amps)
+        for step in steps:
+            if isinstance(step, GateKernel):
+                if step.kind == DIAGONAL:
+                    step.apply(src, src)  # elementwise, so it may run in place
+                    continue
+                step.apply(src, dst)
+            else:
+                wire, key = step
+                table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, rng))
+            src, dst = dst, src
+    _keep(dst)
+    return src
 
 
 def simulate(
@@ -437,21 +454,10 @@ def simulate(
     """
     dims = circuit.dims
     if initial is not None and initial.dims != dims:
-        raise ValueError(
-            f"initial state dims {initial.dims} do not match circuit dims {dims}"
-        )
-    _check_fits(dims, 2)
-    src = _buffer(prod(dims))
-    if initial is None:
-        src.fill(0)
-        src[0] = 1.0
-    else:
-        np.copyto(src, initial.amps)
+        raise ValueError(f"initial state dims {initial.dims} do not match circuit dims {dims}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     table = MeasurementTable()
-    src, dst = _evolve(_plan(circuit, measure), dims, src, _buffer(src.size), rng, table)
-    _keep(dst)
-    return StateVector(dims, src), table
+    return StateVector(dims, _evolve(_plan(circuit, measure), [rng], dims, initial, table)), table
 
 
 def _measurements_are_terminal(circuit: Circuit) -> bool:
@@ -490,25 +496,18 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     if _measurements_are_terminal(circuit):
         amps = simulate(circuit, measure=False)[0].amps
         # |psi|^2 and its CDF fill the two float halves of the spare buffer.
-        spare = _buffer(amps.size).view(float)
-        probs = np.abs(amps, out=spare[:amps.size])
-        np.square(probs, out=probs)
+        spare = _buffer(amps.size)
+        probs = _born(amps, spare)
         _keep(amps)
         probs /= probs.sum()
         uniforms = [np.random.Generator(np.random.PCG64(stream)).random() for stream in streams]
-        index = _draw(probs, uniforms, out=spare[amps.size:])
-        _keep(spare.view(complex))
+        index = _draw(probs, uniforms, out=spare.view(float)[amps.size:])
+        _keep(spare)
         digits = np.unravel_index(index, dims)
         for m in measurements:
             wire = circuit.wire_index(m.wire)
             table.extend(m.key, dims[wire], digits[wire])
     else:
-        _check_fits(dims, 2)
-        steps = list(_plan(circuit))
-        src, dst = _buffer(prod(dims)), _buffer(prod(dims))
-        for stream in streams:
-            src.fill(0)
-            src[0] = 1.0
-            src, dst = _evolve(steps, dims, src, dst, np.random.Generator(np.random.PCG64(stream)), table)
-        _keep(src, dst)
+        rngs = (np.random.Generator(np.random.PCG64(stream)) for stream in streams)
+        _keep(_evolve(list(_plan(circuit)), rngs, dims, None, table))
     return RunResult(table=table, repetitions=repetitions, seed=seed)

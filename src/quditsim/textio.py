@@ -202,11 +202,12 @@ def format_state(state: StateVector, labels=None, threshold: float = 1e-6) -> st
     sep = "," if any(d > 10 for d in state.dims) else ""
     shape = state.dims if state.dims else (1,)
     lines = ["Final state vector:"]
-    digits = np.array(np.unravel_index(np.arange(state.amps.size), shape))
-    for index, amp in enumerate(state.amps):
-        if abs(amp) >= threshold:
-            ket = sep.join(str(d) for d in digits[:, index]) if state.dims else ""
-            lines.append(f"|{ket}⟩: {complex_text(complex(amp))}")
+    block = 1 << 16  # amplitudes screened at a time, so no state-sized temporary
+    for start in range(0, state.amps.size, block):
+        shown = start + np.flatnonzero(np.abs(state.amps[start:start + block]) >= threshold)
+        for index, digits in zip(shown, np.column_stack(np.unravel_index(shown, shape)).tolist()):
+            ket = sep.join(map(str, digits)) if state.dims else ""
+            lines.append(f"|{ket}⟩: {complex_text(complex(state.amps[index]))}")
     return "\n".join(lines)
 
 

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from quditsim import (
     Circuit,
+    CircuitParseError,
     GateApplication,
     GateKind,
     GateSpec,
@@ -16,6 +19,7 @@ from quditsim import (
     is_unitary,
     kron,
     moments,
+    parse_circuit,
     single,
     two_qudit,
 )
@@ -56,6 +60,16 @@ def test_append_rejects_duplicate_measurement_key():
     c.measure(q, "k")
     with pytest.raises(ValueError, match="k"):
         c.measure(q, "k")
+
+
+def test_many_measurement_keys_append_in_linear_time():
+    text = "qudit q0 2\n" + "".join(f"M q0 k{i}\n" for i in range(40000))
+    start = time.perf_counter()
+    circuit, _, _ = parse_circuit(text)
+    assert time.perf_counter() - start < 10
+    assert circuit.measurement_keys() == [f"k{i}" for i in range(40000)]
+    with pytest.raises(CircuitParseError, match="k39999"):
+        parse_circuit(text + "M q0 k39999\n")
 
 
 def test_append_rejects_repeated_wire():

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quditsim import (
     basis_state,
     build,
     cnot_matrix,
+    custom,
     full_unitary,
     ghz_circuit,
     h_matrix,
@@ -325,6 +327,72 @@ def test_preflight_is_skipped_when_memory_is_unknown(monkeypatch):
     monkeypatch.setattr(simulator, "_physical_memory", lambda: None)
     final, _ = simulate(_register(3))
     assert final.amps[0] == 1
+
+
+def test_contraction_kernel_is_planned_only_when_four_states_fit(monkeypatch):
+    # A dense two-wire gate is contracted by tensordot, whose transposed copy
+    # and result are two states besides the two buffers.
+    rng = np.random.default_rng(2)
+    unitary, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    circuit = _register(2, 3)
+    circuit.apply(custom(unitary, (3, 3)), *circuit.qudits)
+    state_bytes = 9 * 16
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 3 * state_bytes)
+    with pytest.raises(StateTooLargeError, match="4 state buffer"):
+        simulate(circuit)
+    with pytest.raises(StateTooLargeError):
+        apply_gate(basis_state((3, 3), (0, 0)), unitary, (0, 1))
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 4 * state_bytes)
+    final, _ = simulate(circuit)
+    assert np.allclose(final.amps, unitary[:, 0], atol=1e-12)
+
+
+# --- peak memory ---
+
+
+WIDE = 19  # numpy's fixed 128 KiB ufunc buffer, which a diagonal kernel may take, is 1.6% of this state
+
+
+def _wide_circuit(mid_circuit: bool) -> Circuit:
+    """H and Z gates on 2^WIDE amplitudes, measured at the end or mid-circuit."""
+    circuit = _register(WIDE)
+    q = circuit.qudits
+    for w in (0, 5, WIDE - 1):
+        circuit.apply(single("H", 2), q[w])
+    circuit.apply(single("Z", 2), q[5])
+    circuit.measure(q[0])
+    if mid_circuit:
+        circuit.apply(single("H", 2), q[0])
+        circuit.apply(single("Z", 2), q[0])
+    circuit.measure(q[WIDE - 1])
+    return circuit
+
+
+def _traced_peak_states(call) -> float:
+    """Peak traced allocation of one call, in states of 2^WIDE amplitudes,
+    after a warm-up call and with no buffer kept."""
+    call()
+    simulator.release_buffers()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulator.release_buffers()
+    return peak / ((1 << WIDE) * 16)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("mid-circuit simulate", lambda: simulate(_wide_circuit(True), seed=1)),
+        ("mid-circuit run", lambda: run(_wide_circuit(True), 3, seed=1)),
+        ("terminal run", lambda: run(_wide_circuit(False), 3, seed=1)),
+    ],
+)
+def test_evolution_and_sampling_stay_in_two_state_buffers(name, call):
+    assert _traced_peak_states(call) <= 2.05, name
 
 
 # --- buffers kept between calls ---

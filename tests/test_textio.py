@@ -1,3 +1,6 @@
+import tracemalloc
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +9,7 @@ from quditsim import (
     CircuitParseError,
     GateKind,
     MEASURE,
+    StateVector,
     basis_state,
     build,
     format_matrix,
@@ -184,6 +188,49 @@ def test_format_state_validates_labels():
     assert "|00⟩" in format_state(sv, labels=["q0", "q1"])
     with pytest.raises(ValueError, match="labels"):
         format_state(sv, labels=["q0"])
+
+
+def _format_state_decoding_every_index(state, threshold):
+    # The implementation format_state replaced: an (n_wires x N) digit table
+    # and a Python loop over all N amplitudes.
+    sep = "," if any(d > 10 for d in state.dims) else ""
+    shape = state.dims if state.dims else (1,)
+    lines = ["Final state vector:"]
+    digits = np.array(np.unravel_index(np.arange(state.amps.size), shape))
+    for index, amp in enumerate(state.amps):
+        if abs(amp) >= threshold:
+            ket = sep.join(str(d) for d in digits[:, index]) if state.dims else ""
+            lines.append(f"|{ket}⟩: {complex_text(complex(amp))}")
+    return "\n".join(lines)
+
+
+def test_format_state_matches_decoding_every_index():
+    rng = np.random.default_rng(5)
+    states = [StateVector((), np.ones(1)), StateVector((2,) * 17, np.eye(1, 1 << 17, (1 << 16) + 3).ravel())]
+    for _ in range(150):
+        dims = tuple(int(d) for d in rng.integers(2, 14, size=int(rng.integers(1, 4))))
+        amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+        amps[rng.random(amps.size) < 0.5] = 0
+        amps[0] += 1  # never all zero
+        states.append(StateVector(dims, amps / np.linalg.norm(amps)))
+    for state in states:
+        for threshold in (0.0, 1e-6, 0.3):
+            assert format_state(state, threshold=threshold) == _format_state_decoding_every_index(state, threshold)
+
+
+def test_format_state_of_a_large_sparse_state_allocates_less_than_one_state():
+    amps = np.zeros(1 << 20, dtype=complex)
+    amps[[0, -1]] = 2 ** -0.5
+    state = StateVector((2,) * 20, amps)
+    tracemalloc.start()
+    try:
+        text = format_state(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.splitlines()[1:] == ["|00000000000000000000⟩: (0.7071067811865476+0j)",
+                                     "|11111111111111111111⟩: (0.7071067811865476+0j)"]
+    assert peak < amps.nbytes
 
 
 # --- matrix formatting ---
