@@ -32,24 +32,31 @@ mapped memory costs no page faults, and first-touch faults of a fresh state
 are as slow as a gate and, on a shared host, erratic. `apply_gate` runs the
 same plan into a fresh output buffer and never mutates its input.
 
-Randomness is driven by numpy's SeedSequence/PCG64. `run` derives one child
-SeedSequence per repetition via `SeedSequence(seed).spawn(repetitions)`, so
-repetition i sees the same stream whether repetitions execute serially or
-concurrently. Every sample is drawn by one exact sampler, `_draw`, which
-does what `Generator.choice(len(p), p=p)` does, bit for bit: it builds one
-CDF per distribution and finds each uniform's index with one `searchsorted`.
-When every measurement is terminal, `run` evolves the state once, builds the
-CDF of the final distribution once, draws one uniform from each repetition's
-stream and samples all repetitions with one `searchsorted`: O(D + reps*log D)
-for D amplitudes. Otherwise every repetition replays gates planned once per
-`run`, and each mid-circuit measurement draws one uniform from that
-repetition's stream.
+Randomness is driven by numpy's SeedSequence/PCG64. Repetition i of `run`
+draws from the stream of `Generator(PCG64(child))`, where `child` is the
+i-th of `SeedSequence(seed).spawn(repetitions)`, so it sees the same stream
+whether repetitions execute serially or concurrently. `run` takes the
+uniforms of all repetitions from `numerics.spawned_uniforms`, which derives
+every stream in one vectorized pass, equal to numpy's bit for bit, and
+builds no SeedSequence or Generator per repetition. NumPy's stream
+compatibility policy (NEP 19) keeps that arithmetic, and so every pinned
+table, stable across numpy versions. Before deriving anything, `run` refuses
+a repetition count whose uniforms and table would not fit in physical memory.
+Every sample is drawn by one exact sampler, `_draw`, which does what
+`Generator.choice(len(p), p=p)` does, bit for bit: it builds one CDF per
+distribution and finds each uniform's index with one `searchsorted`. When
+every measurement is terminal, `run` evolves the state once, builds the CDF
+of the final distribution once, takes each repetition's first uniform and
+samples all repetitions with one `searchsorted`: O(D + reps*log D) for D
+amplitudes. Otherwise every repetition replays gates planned once per `run`,
+and its measurements take its stream's uniforms in program order.
 """
 
 from __future__ import annotations
 
 import secrets
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from math import prod
 from typing import Callable
@@ -65,6 +72,7 @@ from .numerics import (
     check_memory,
     mixed_radix_decode,  # noqa: F401  (perfbench's trace wraps it under this module)
     mixed_radix_encode,
+    spawned_uniforms,
 )
 
 NORM_TOL = 1e-8
@@ -167,7 +175,7 @@ class MeasurementTable:
 
     def extend(self, key: str, dim: int, digits) -> None:
         """Append one digit per repetition to a key's column in one call."""
-        self.records.setdefault(key, []).extend(map(int, digits))
+        self.records.setdefault(key, []).extend(np.asarray(digits).tolist())
         self.key_dims[key] = dim
 
     def repetitions(self) -> int:
@@ -383,15 +391,15 @@ def _born(amps: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return np.square(probs, out=probs)
 
 
-def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, rng: np.random.Generator) -> int:
-    """Sample the wire's marginal of `src`; write the collapsed, renormalized
-    state into `dst`."""
+def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: float) -> int:
+    """Sample the wire's marginal of `src` with a uniform in [0, 1); write
+    the collapsed, renormalized state into `dst`."""
     probs = _born(src, dst).reshape(dims)
     other_axes = tuple(a for a in range(len(dims)) if a != wire)
     if other_axes:
         probs = probs.sum(axis=other_axes)
     probs = probs / probs.sum()  # out of place: `dst` is cleared below
-    digit = int(_draw(probs, rng.random()))
+    digit = int(_draw(probs, uniform))
     view = (prod(dims[:wire]), dims[wire], prod(dims[wire + 1:]))
     out = dst.reshape(view)
     out.fill(0)
@@ -411,14 +419,17 @@ def _plan(circuit: Circuit, measure: bool = True):
             yield circuit.wire_index(op.wire), op.key
 
 
-def _evolve(steps, rngs, dims, initial: StateVector | None, table: MeasurementTable) -> np.ndarray:
-    """For each Generator in `rngs`, start from `initial` (|0...0> when None)
-    and apply `steps` (reused, so a list when there are several) on the two
-    state buffers; a measurement samples from that Generator, records into
-    `table` and collapses. Keeps the spare; returns the last state's buffer."""
+def _evolve(
+    steps, repetitions: Iterable[Iterator[float]], dims, initial: StateVector | None, table: MeasurementTable
+) -> np.ndarray:
+    """For each repetition's iterator of uniforms, start from `initial`
+    (|0...0> when None) and apply `steps` (reused, so a list when there are
+    several) on the two state buffers; a measurement samples with the next
+    uniform, records into `table` and collapses. Keeps the spare; returns
+    the last state's buffer."""
     _check_fits(dims, 2)
     src, dst = _buffer(prod(dims)), _buffer(prod(dims))
-    for rng in rngs:
+    for uniforms in repetitions:
         if initial is None:
             src.fill(0)
             src[0] = 1.0
@@ -432,7 +443,7 @@ def _evolve(steps, rngs, dims, initial: StateVector | None, table: MeasurementTa
                 step.apply(src, dst)
             else:
                 wire, key = step
-                table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, rng))
+                table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, next(uniforms)))
             src, dst = dst, src
     _keep(dst)
     return src
@@ -457,7 +468,7 @@ def simulate(
         raise ValueError(f"initial state dims {initial.dims} do not match circuit dims {dims}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     table = MeasurementTable()
-    return StateVector(dims, _evolve(_plan(circuit, measure), [rng], dims, initial, table)), table
+    return StateVector(dims, _evolve(_plan(circuit, measure), [iter(rng.random, None)], dims, initial, table)), table
 
 
 def _measurements_are_terminal(circuit: Circuit) -> bool:
@@ -475,12 +486,15 @@ def _measurements_are_terminal(circuit: Circuit) -> bool:
 def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResult:
     """Sample the circuit's measurements over independent repetitions.
 
-    Each repetition draws from its own SeedSequence child stream. When every
-    measurement is terminal, the state is evolved once, the CDF of its joint
-    distribution is built once, one uniform is drawn from each repetition's
-    stream, and one `searchsorted` samples every repetition. Otherwise the
-    gates are planned once and each repetition replays them with mid-circuit
-    collapse, drawing each measurement's uniform from its own stream.
+    Each repetition draws from its own SeedSequence child stream; `seed` is
+    a non-negative integer. A repetition count whose uniforms and table
+    would not fit in physical memory is refused with StateTooLargeError
+    before anything is derived. When every measurement is terminal, the
+    state is evolved once, the CDF of its joint distribution is built once,
+    and one `searchsorted` places the first uniform of every repetition's
+    stream. Otherwise the gates are planned once and each repetition replays
+    them with mid-circuit collapse, its measurements taking its stream's
+    uniforms in program order.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -489,25 +503,32 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
         raise ValueError("circuit has no measurements to sample")
     if seed is None:
         seed = secrets.randbits(64)
-    streams = np.random.SeedSequence(seed).spawn(repetitions)
+    dims = circuit.dims
+    terminal = _measurements_are_terminal(circuit)
+    draws = 1 if terminal else len(measurements)
+    # 8 B words per repetition: its uniforms, one table entry per
+    # measurement, and (terminal path) its index with a digit per wire.
+    check_memory(repetitions * (draws + len(measurements) + len(dims) + 1) * 8, _physical_memory(),
+                 f"the draws and table of {repetitions} repetitions")
+    uniforms = spawned_uniforms(seed, repetitions, draws)
 
     table = MeasurementTable()
-    dims = circuit.dims
-    if _measurements_are_terminal(circuit):
+    if terminal:
         amps = simulate(circuit, measure=False)[0].amps
         # |psi|^2 and its CDF fill the two float halves of the spare buffer.
         spare = _buffer(amps.size)
         probs = _born(amps, spare)
         _keep(amps)
         probs /= probs.sum()
-        uniforms = [np.random.Generator(np.random.PCG64(stream)).random() for stream in streams]
-        index = _draw(probs, uniforms, out=spare.view(float)[amps.size:])
+        index = _draw(probs, uniforms[:, 0], out=spare.view(float)[amps.size:])
         _keep(spare)
         digits = np.unravel_index(index, dims)
         for m in measurements:
             wire = circuit.wire_index(m.wire)
             table.extend(m.key, dims[wire], digits[wire])
     else:
-        rngs = (np.random.Generator(np.random.PCG64(stream)) for stream in streams)
-        _keep(_evolve(list(_plan(circuit)), rngs, dims, None, table))
+        # Every gate is planned before `_evolve` makes this check, and a
+        # diagonal's phase block can span a register that does not fit.
+        _check_fits(dims, 2)
+        _keep(_evolve(list(_plan(circuit)), (iter(row.tolist()) for row in uniforms), dims, None, table))
     return RunResult(table=table, repetitions=repetitions, seed=seed)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from quditsim import gates
+from quditsim import gates, simulator
 from quditsim.cli import cli
 
 CIRCUITS = Path(__file__).parent.parent / "circuits"
@@ -80,6 +80,13 @@ def test_gate_matrix_over_physical_memory_exits_2_with_one_line(command, tmp_pat
     assert cli([command[0], str(path), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "100x100 matrix of X" in err and err.count("\n") == 1
+
+
+def test_hostile_repetition_count_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 1 << 30)
+    assert cli(["run", str(CIRCUITS / "ghz3.qdc"), "--reps", "1000000000000", "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repetitions" in err and err.count("\n") == 1
 
 
 def test_run_without_seed_echoes_replayable_seed(capsys):

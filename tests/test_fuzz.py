@@ -72,7 +72,8 @@ commands = st.one_of(
     st.tuples(st.just("simulate"), st.sampled_from([[], ["--initial", "0"], ["--initial", "01,x"]])).map(
         lambda t: [t[0], "--seed", "7", *t[1]]
     ),
-    st.integers(-1, 50).map(lambda reps: ["run", "--reps", str(reps), "--seed", "7"]),
+    # 10**12 repetitions: their draws alone are refused before any is derived.
+    st.one_of(st.integers(-1, 50), st.just(10**12)).map(lambda reps: ["run", "--reps", str(reps), "--seed", "7"]),
 )
 
 
@@ -104,6 +105,8 @@ def test_parse_circuit_accepts_or_refuses_with_a_located_error(text):
 @example(text="qudit q0 1000000000000\nM q0\n", command=["run", "--reps", "5", "--seed", "7"])
 @example(text="qudit q0 1000000\nX q0\nM q0\n", command=["simulate", "--seed", "7"])
 @example(text="dim 3\nH^-1000000000000000000000000000000 q0\nM q0\n", command=["run", "--reps", "50", "--seed", "7"])
+@example(text="dim 3\nH q0\nM q0\n", command=["run", "--reps", str(10**12), "--seed", "7"])
+@example(text="qudit q0 1000000000000\nqudit q1 2\nqudit q2 2\nM q0\nZ q1 q0\n", command=["run", "--reps", "1", "--seed", "7"])
 def test_cli_exits_0_1_or_2_without_a_traceback(qdc_path, text, command):
     qdc_path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()

@@ -329,6 +329,39 @@ def test_preflight_is_skipped_when_memory_is_unknown(monkeypatch):
     assert final.amps[0] == 1
 
 
+@pytest.mark.parametrize("midcircuit", [False, True], ids=["terminal", "midcircuit"])
+def test_run_refuses_repetitions_whose_draws_and_table_do_not_fit(monkeypatch, midcircuit):
+    # Per repetition, 8 B words: its uniforms (1 terminal, 4 mid-circuit),
+    # a table entry per measurement (3 or 4), an index and a digit per wire (4).
+    circuit = ghz_circuit(3, 3, measure=True)
+    if midcircuit:
+        circuit.apply(single("X", 3), circuit.qudits[0])
+        circuit.measure(circuit.qudits[0], "after")
+    need = 1000 * (12 if midcircuit else 8) * 8
+    derived = []
+    monkeypatch.setattr(simulator, "spawned_uniforms", lambda *args: derived.append(args))
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: need - 1)
+    with pytest.raises(StateTooLargeError, match="1000 repetitions"):
+        run(circuit, 1000, seed=1)
+    with pytest.raises(StateTooLargeError, match="physical memory"):
+        run(circuit, 10**12, seed=1)
+    assert derived == []  # refused before any stream was derived
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: need)
+    assert run(circuit, 1000, seed=1).repetitions == 1000
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+def test_run_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        run(ghz_circuit(2, 3, measure=True), 5, seed=seed)
+
+
+def test_run_takes_a_numpy_integer_seed_as_its_value():
+    circuit = ghz_circuit(2, 3, measure=True)
+    assert run(circuit, 30, seed=np.uint64(2**64 - 1)).table == run(circuit, 30, seed=2**64 - 1).table
+
+
 def test_contraction_kernel_is_planned_only_when_four_states_fit(monkeypatch):
     # A dense two-wire gate is contracted by tensordot, whose transposed copy
     # and result are two states besides the two buffers.
