@@ -14,20 +14,21 @@ classes:
   wires that holds every target is small, this is one gather with an index
   map over that block; otherwise it is one strided slice copy per target
   basis state;
-- dense: on one wire, a matmul over the (L, d, R) view of the state, or a
-  single GEMM on the (L, d*R) view with kron(U, I_R) when the trailing
-  block d*R is small; a dense gate on several wires falls back to a tensor
-  contraction into the targeted axes.
+- dense: a matmul over the (L, D, R) view when the targets are adjacent and
+  ascending (any one wire), or one GEMM with kron(U, I_R) on the (L, D*R)
+  view when D*R is small; otherwise a permuted copy puts the targets last,
+  in gate order, for one GEMM with U^T, then the inverse permuted copy.
 
 `_evolve`, the one driver behind `simulate` and both paths of `run`, takes
 two flat amplitude buffers once, after checking that they fit in physical
 memory. Permutation and dense kernels, and every collapse, read one buffer
 and write the other, and the two swap roles; a diagonal kernel is
 elementwise and runs in place. `_born` writes |psi|^2, for a collapse or
-for terminal sampling, into the spare buffer. So only the multi-wire
-contraction allocates a state, and it is planned only when four states fit.
-Both buffers are kept for the next call on a register of the same size,
-released when another size asks for buffers or by `release_buffers()`:
+for terminal sampling, into the spare buffer. So no kernel allocates a
+state, and no plan keeps more than its gate and one gather map or phase
+block of at most GATHER_MAX amplitudes. Both buffers are kept for the next
+call on a register of the same size, released when another size asks for
+buffers or by `release_buffers()`:
 mapped memory costs no page faults, and first-touch faults of a fresh state
 are as slow as a gate and, on a shared host, erratic. `apply_gate` runs the
 same plan into a fresh output buffer and never mutates its input.
@@ -40,16 +41,9 @@ uniforms of all repetitions from `numerics.spawned_uniforms`, which derives
 every stream in one vectorized pass, equal to numpy's bit for bit, and
 builds no SeedSequence or Generator per repetition. NumPy's stream
 compatibility policy (NEP 19) keeps that arithmetic, and so every pinned
-table, stable across numpy versions. Before deriving anything, `run` refuses
-a repetition count whose uniforms and table would not fit in physical memory.
-Every sample is drawn by one exact sampler, `_draw`, which does what
-`Generator.choice(len(p), p=p)` does, bit for bit: it builds one CDF per
-distribution and finds each uniform's index with one `searchsorted`. When
-every measurement is terminal, `run` evolves the state once, builds the CDF
-of the final distribution once, takes each repetition's first uniform and
-samples all repetitions with one `searchsorted`: O(D + reps*log D) for D
-amplitudes. Otherwise every repetition replays gates planned once per `run`,
-and its measurements take its stream's uniforms in program order.
+table, stable across numpy versions. Every sample is drawn by one exact
+sampler, `_draw`, which does what `Generator.choice(len(p), p=p)` does, bit
+for bit, with one CDF per distribution and one `searchsorted`.
 """
 
 from __future__ import annotations
@@ -78,8 +72,8 @@ from .numerics import (
 NORM_TOL = 1e-8
 AMPLITUDE_BYTES = np.dtype(complex).itemsize
 DIAGONAL, PERMUTATION, DENSE = "diagonal", "permutation", "dense"
-# A one-wire dense gate whose trailing block d*R is at most this is folded
-# into one GEMM with kron(U, I_R): R-fold flops, but no per-block BLAS call.
+# A dense gate on adjacent ascending targets whose trailing block D*R is at
+# most this is one GEMM with kron(U, I_R): R-fold flops, no per-block BLAS call.
 FOLD_MAX = 64
 # A permutation whose targets lie in a trailing block of at most this many
 # amplitudes is one gather with an index map over that block; otherwise it
@@ -223,7 +217,8 @@ class GateKernel:
     """A gate planned for one register. `apply(src, dst)` writes the gate's
     action on the flat amplitudes `src` into `dst`, a buffer of the same
     size; `kind` is DIAGONAL, PERMUTATION or DENSE. Only a DIAGONAL kernel,
-    which is elementwise, may be given `dst is src`."""
+    which is elementwise, may be given `dst is src`. Only a DENSE kernel on
+    targets not adjacent and ascending overwrites `src`, its scratch."""
 
     kind: str
     apply: Kernel
@@ -234,13 +229,10 @@ def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
     dims = tuple(dims)
     nonzero = matrix != 0
     if np.count_nonzero(nonzero) == np.count_nonzero(np.diagonal(nonzero)):
-        return GateKernel(DIAGONAL, _diagonal_kernel(dims, np.diagonal(matrix), wires))
+        return GateKernel(DIAGONAL, _diagonal_kernel(dims, np.diagonal(matrix).copy(), wires))
     if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
         return GateKernel(PERMUTATION, _permutation_kernel(dims, matrix, wires))
-    if len(wires) == 1:
-        return GateKernel(DENSE, _dense_kernel(dims, matrix, wires[0]))
-    _check_fits(dims, 4)  # the two buffers, tensordot's transposed copy and its result
-    return GateKernel(DENSE, _contraction_kernel(dims, matrix, wires))
+    return GateKernel(DENSE, _dense_kernel(dims, matrix, wires))
 
 
 def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> Kernel:
@@ -248,8 +240,8 @@ def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> Kernel:
     n = len(dims)
     tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
     tensor = tensor.reshape([dims[a] if a in wires else 1 for a in range(n)])
-    split = n
-    while split > 0 and prod(dims[split:]) < MIN_INNER:
+    split, cap = n, max(diagonal.size, GATHER_MAX)  # spelled-out phases stay gate-sized
+    while split > 0 and prod(dims[split:]) < MIN_INNER and prod(tensor.shape[:split - 1] + dims[split - 1:]) <= cap:
         split -= 1
     view = dims[:split] + (prod(dims[split:]),)
     phase = np.broadcast_to(tensor, tensor.shape[:split] + dims[split:]).reshape(tensor.shape[:split] + (-1,))
@@ -319,33 +311,35 @@ def _permutation_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
     return apply
 
 
-def _dense_kernel(dims, matrix: np.ndarray, wire: int) -> Kernel:
-    """Matmul on the (L, d, R) view, or one GEMM when d*R is small."""
-    d = dims[wire]
-    lead, trail = prod(dims[:wire]), prod(dims[wire + 1:])
-    if d * trail <= FOLD_MAX:
-        view = (lead, d * trail)
+def _ascending_run(wires) -> bool:
+    """True when the wires are adjacent and in ascending order."""
+    return list(wires) == list(range(wires[0], wires[0] + len(wires)))
+
+
+def _dense_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
+    """The module docstring's three dense paths; the permuted one runs its
+    GEMM from `dst` back into `src`."""
+    if not _ascending_run(wires):
+        order = [a for a in range(len(dims)) if a not in wires] + list(wires)
+        moved, inverse = tuple(dims[a] for a in order), tuple(np.argsort(order))
+        view, gate_t = (-1, len(matrix)), np.ascontiguousarray(matrix.T)
+
+        def apply(src, dst):
+            np.copyto(dst.reshape(moved), src.reshape(dims).transpose(order))
+            np.matmul(dst.reshape(view), gate_t, out=src.reshape(view))
+            np.copyto(dst.reshape(dims), src.reshape(moved).transpose(inverse))
+    elif prod(dims[wires[0]:]) <= FOLD_MAX:
+        trail = prod(dims[wires[-1] + 1:])
+        view = (prod(dims[:wires[0]]), prod(dims[wires[0]:]))
         folded = np.ascontiguousarray(np.kron(matrix, np.eye(trail)).T)
 
         def apply(src, dst):
             np.matmul(src.reshape(view), folded, out=dst.reshape(view))
     else:
-        view = (lead, d, trail)
+        view = (prod(dims[:wires[0]]), len(matrix), prod(dims[wires[-1] + 1:]))
 
         def apply(src, dst):
             np.matmul(matrix, src.reshape(view), out=dst.reshape(view))
-
-    return apply
-
-
-def _contraction_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
-    """Contract a dense multi-wire gate into the targeted axes."""
-    k = len(wires)
-    gate = matrix.reshape(tuple(dims[w] for w in wires) * 2)
-
-    def apply(src, dst):
-        psi = np.tensordot(gate, src.reshape(dims), axes=(tuple(range(k, 2 * k)), wires))
-        np.copyto(dst.reshape(dims), np.moveaxis(psi, range(k), wires))
 
     return apply
 
@@ -365,8 +359,8 @@ def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
             f"matrix shape {matrix.shape} does not match target dims "
             f"{tuple(state.dims[w] for w in wires)}"
         )
-    out = np.empty_like(state.amps)
-    plan_gate(state.dims, matrix, wires).apply(state.amps, out)
+    kernel, out = plan_gate(state.dims, matrix, wires), np.empty_like(state.amps)
+    kernel.apply(state.amps if kernel.kind != DENSE or _ascending_run(wires) else state.amps.copy(), out)
     return StateVector(state.dims, out)
 
 
@@ -407,14 +401,22 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: f
     return digit
 
 
-def _plan(circuit: Circuit, measure: bool = True):
+def _plan(circuit: Circuit, measure: bool = True, plans: dict | None = None):
     """Yield one step per op in program order: a gate's planned kernel, or
     a measurement's (wire index, key). Measurements are left out unless
-    `measure`."""
+    `measure`. Given `plans`, gate ops on the same wires whose resolved
+    matrices are equal share one kernel, kept in `plans`."""
     dims = circuit.dims
     for op in circuit.ops:
         if not isinstance(op, Measurement):
-            yield plan_gate(dims, resolve(op.spec), tuple(circuit.wire_index(w) for w in op.wires))
+            matrix, wires = resolve(op.spec), tuple(circuit.wire_index(w) for w in op.wires)
+            if plans is None:
+                yield plan_gate(dims, matrix, wires)
+            else:
+                key = (wires, matrix.tobytes())
+                if key not in plans:
+                    plans[key] = plan_gate(dims, matrix, wires)
+                yield plans[key]
         elif measure:
             yield circuit.wire_index(op.wire), op.key
 
@@ -477,9 +479,8 @@ def _measurements_are_terminal(circuit: Circuit) -> bool:
     for op in circuit.ops:
         if isinstance(op, Measurement):
             measured.add(op.wire.name)
-        else:
-            if any(w.name in measured for w in op.wires):
-                return False
+        elif any(w.name in measured for w in op.wires):
+            return False
     return True
 
 
@@ -492,9 +493,10 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     before anything is derived. When every measurement is terminal, the
     state is evolved once, the CDF of its joint distribution is built once,
     and one `searchsorted` places the first uniform of every repetition's
-    stream. Otherwise the gates are planned once and each repetition replays
-    them with mid-circuit collapse, its measurements taking its stream's
-    uniforms in program order.
+    stream: O(D + reps*log D) for D amplitudes. Otherwise the gates are
+    planned once, identical gate ops sharing one plan, and each repetition
+    replays them with mid-circuit collapse, its measurements taking its
+    stream's uniforms in program order.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -527,8 +529,5 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
             wire = circuit.wire_index(m.wire)
             table.extend(m.key, dims[wire], digits[wire])
     else:
-        # Every gate is planned before `_evolve` makes this check, and a
-        # diagonal's phase block can span a register that does not fit.
-        _check_fits(dims, 2)
-        _keep(_evolve(list(_plan(circuit)), (iter(row.tolist()) for row in uniforms), dims, None, table))
+        _keep(_evolve(list(_plan(circuit, plans={})), (iter(row.tolist()) for row in uniforms), dims, None, table))
     return RunResult(table=table, repetitions=repetitions, seed=seed)

@@ -5,7 +5,7 @@ and dense matrices, on mixed dimensions 2-7 with wires in any order, must
 match the dense embedding `_embed(matrix) @ amps`, leave the input state
 untouched, and be planned into the kernel class its structure calls for.
 Each property also runs with the size thresholds forced to their other
-side, so the slice permutation, the (L, d, R) matmul and the per-axis
+side, so the slice permutation, the (L, D, R) matmul and the per-axis
 diagonal broadcast are exercised on small registers too.
 """
 
@@ -75,11 +75,11 @@ def builtin_gates(draw):
 @st.composite
 def custom_gates(draw):
     """(dims, matrix, wires, expected class) for CUSTOM diagonal, monomial
-    (a non-identity permutation with phases) or dense matrices on one or two
-    wires, in any order and positions."""
+    (a non-identity permutation with phases) or dense matrices on one to
+    three wires, in any order and positions."""
     dims = draw(registers())
     n = len(dims)
-    arity = draw(st.integers(1, min(2, n)))
+    arity = draw(st.integers(1, min(3, n)))
     wires = tuple(draw(st.permutations(range(n)))[:arity])
     side = prod(dims[w] for w in wires)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -124,7 +124,7 @@ def test_custom_kernels_match_embedding(variant, gate, seed):
     _check(variant, gate, seed)
 
 
-def test_non_adjacent_two_wire_dense_uses_the_contraction():
+def test_non_adjacent_two_wire_dense_uses_the_permuted_gemm():
     rng = np.random.default_rng(2)
     dims = (3, 2, 5, 3)
     u, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))

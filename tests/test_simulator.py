@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quditsim import simulator
+from quditsim.gates import resolve
 from quditsim import (
     Circuit,
     StateTooLargeError,
@@ -362,22 +363,22 @@ def test_run_takes_a_numpy_integer_seed_as_its_value():
     assert run(circuit, 30, seed=np.uint64(2**64 - 1)).table == run(circuit, 30, seed=2**64 - 1).table
 
 
-def test_contraction_kernel_is_planned_only_when_four_states_fit(monkeypatch):
-    # A dense two-wire gate is contracted by tensordot, whose transposed copy
-    # and result are two states besides the two buffers.
+def test_multi_wire_dense_gate_runs_in_two_state_buffers(monkeypatch):
+    # Targets in ascending order take the (L, D, R) matmul; reversed ones the
+    # permuted copy and GEMM, which uses the spare buffer as scratch.
     rng = np.random.default_rng(2)
     unitary, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
-    circuit = _register(2, 3)
-    circuit.apply(custom(unitary, (3, 3)), *circuit.qudits)
     state_bytes = 9 * 16
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 3 * state_bytes)
-    with pytest.raises(StateTooLargeError, match="4 state buffer"):
-        simulate(circuit)
-    with pytest.raises(StateTooLargeError):
-        apply_gate(basis_state((3, 3), (0, 0)), unitary, (0, 1))
-    monkeypatch.setattr(simulator, "_physical_memory", lambda: 4 * state_bytes)
-    final, _ = simulate(circuit)
-    assert np.allclose(final.amps, unitary[:, 0], atol=1e-12)
+    for wires in [(0, 1), (1, 0)]:
+        circuit = _register(2, 3)
+        circuit.apply(custom(unitary, (3, 3)), *(circuit.qudits[w] for w in wires))
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2 * state_bytes)
+        final, _ = simulate(circuit)
+        expected = unitary[:, 0].reshape(3, 3).transpose(np.argsort(wires)).reshape(-1)
+        assert np.allclose(final.amps, expected, atol=1e-12), wires
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2 * state_bytes - 1)
+        with pytest.raises(StateTooLargeError, match="2 state buffer"):
+            simulate(circuit)
 
 
 # --- peak memory ---
@@ -401,19 +402,39 @@ def _wide_circuit(mid_circuit: bool) -> Circuit:
     return circuit
 
 
-def _traced_peak_states(call) -> float:
-    """Peak traced allocation of one call, in states of 2^WIDE amplitudes,
-    after a warm-up call and with no buffer kept."""
+def _random_unitary(side: int) -> np.ndarray:
+    rng = np.random.default_rng(side)
+    unitary, _ = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    return unitary
+
+
+def _dense_wide_circuit() -> Circuit:
+    """A dense two-wire CUSTOM gate on non-adjacent wires, in descending
+    order, of 2^WIDE amplitudes."""
+    circuit = _register(WIDE)
+    q = circuit.qudits
+    circuit.apply(single("H", 2), q[3])
+    circuit.apply(custom(_random_unitary(4), (2, 2)), q[WIDE - 2], q[3])
+    return circuit
+
+
+def _traced_peak(call) -> int:
+    """Peak traced allocation of one call, in bytes, after a warm-up call
+    and with no buffer kept."""
     call()
     simulator.release_buffers()
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         simulator.release_buffers()
-    return peak / ((1 << WIDE) * 16)
+
+
+def _traced_peak_states(call) -> float:
+    """`_traced_peak` in states of 2^WIDE amplitudes."""
+    return _traced_peak(call) / ((1 << WIDE) * 16)
 
 
 @pytest.mark.parametrize(
@@ -422,10 +443,49 @@ def _traced_peak_states(call) -> float:
         ("mid-circuit simulate", lambda: simulate(_wide_circuit(True), seed=1)),
         ("mid-circuit run", lambda: run(_wide_circuit(True), 3, seed=1)),
         ("terminal run", lambda: run(_wide_circuit(False), 3, seed=1)),
+        ("non-adjacent dense simulate", lambda: simulate(_dense_wide_circuit())),
     ],
 )
 def test_evolution_and_sampling_stay_in_two_state_buffers(name, call):
     assert _traced_peak_states(call) <= 2.05, name
+
+
+@pytest.mark.parametrize(
+    "dims, make_matrix, wires",
+    [
+        ((1 << 20, 2), lambda: resolve(single("Z", 2)), (1,)),
+        ((40, 60, 40), lambda: resolve(two_qudit("CZ", 40)), (0, 2)),
+        ((2,) * 20, lambda: _random_unitary(4), (17, 3)),
+        ((2,) * 17, lambda: resolve(single("X", 2)), (1,)),
+    ],
+    ids=["Z", "CZ", "dense", "X"],
+)
+def test_what_a_plan_retains_depends_on_the_gate_not_on_the_register(dims, make_matrix, wires):
+    # At most one gather map over GATHER_MAX amplitudes (an int64 index
+    # each) and a few small gate-sized arrays, on registers of 1.5-32 MiB.
+    simulator.plan_gate(dims, make_matrix(), wires)  # warm-up: numpy caches what its first calls set up
+    tracemalloc.start()
+    try:
+        kernel = simulator.plan_gate(dims, make_matrix(), wires)  # the matrix is freed unless kept
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= simulator.GATHER_MAX * 8 + (64 << 10), kernel.kind
+
+
+def test_mid_circuit_run_shares_one_plan_between_identical_gate_ops():
+    def call(n):
+        circuit = _register(17)
+        q1 = circuit.qudits[1]
+        circuit.apply(single("H", 2), q1)
+        circuit.measure(q1, "before")
+        for _ in range(n):
+            circuit.apply(single("X", 2), q1)
+        circuit.measure(q1, "after")
+        return _traced_peak(lambda: run(circuit, 1, seed=1))
+
+    gather_map = (1 << 16) * 8  # X on wire 1 of 17 qubits gathers over 2^16 amplitudes
+    assert abs(call(400) - call(50)) < gather_map
 
 
 # --- buffers kept between calls ---
