@@ -10,7 +10,8 @@ wire) and measure every qudit at the end.
 
 Everything is reproducible from the config seed: circuit and run seeds for
 the (d, n) cell come from SeedSequence(seed, spawn_key=(d, n)). Timed runs
-execute serially; the simulator does not use worker threads on its own.
+execute one at a time; within a run, the simulator splits passes over at
+least `simulator.SPLIT_MIN` amplitudes across the usable cores.
 """
 
 from __future__ import annotations

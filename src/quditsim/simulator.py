@@ -33,6 +33,24 @@ mapped memory costs no page faults, and first-touch faults of a fresh state
 are as slow as a gate and, on a shared host, erratic. `apply_gate` runs the
 same plan into a fresh output buffer and never mutates its input.
 
+Every state pass whose result does not depend on the order of its work runs
+on all usable cores: `_slabs` splits it into contiguous row slabs, the
+caller's thread running one and a short-lived thread each of the others.
+The split passes are the diagonal and permutation kernels, the reset to
+|0...0> or to `initial`, a collapse, `_born` (abs then square, one
+cache-sized block at a time), the normalising divides and `_draw`'s check
+reductions. A gate never touches the wires before its first target, so a
+kernel's rows are independent; each gate is planned once and the same
+`GateKernel.apply` runs on any whole number of its rows. Usable cores are
+`len(os.sched_getaffinity(0))`, else `os.cpu_count()`. A pass over fewer
+than SPLIT_MIN amplitudes starts no thread. Three passes stay serial
+because tables pin their bits: the pairwise sum terminal `run` divides by,
+the `cumsum` of the CDF and a collapse's marginal sum. Dense kernels and
+`StateVector`'s norm check, one `vdot`, stay whole because BLAS threads
+them itself. A slab computes on its amplitudes exactly what the whole pass
+computes there, so every state, probability and table is bit for bit the
+one-slab result, whatever the core count.
+
 Randomness is driven by numpy's SeedSequence/PCG64. Repetition i of `run`
 draws from the stream of `Generator(PCG64(child))`, where `child` is the
 i-th of `SeedSequence(seed).spawn(repetitions)`, so it sees the same stream
@@ -48,6 +66,7 @@ for bit, with one CDF per distribution and one `searchsorted`.
 
 from __future__ import annotations
 
+import os
 import secrets
 import threading
 from collections.abc import Iterable, Iterator
@@ -82,6 +101,16 @@ GATHER_MAX = 1 << 16
 # The diagonal kernel spells its phases out over a trailing block of at least
 # this many amplitudes, so numpy's inner loop stays long on the last wires.
 MIN_INNER = 1024
+
+
+# A state pass over at least this many amplitudes is split into row slabs, one
+# per usable core; a smaller one starts no thread. Starting a thread costs
+# ~0.1 ms; on a 2-vCPU VM two slabs won from 2^19 amplitudes for the gate
+# kernels and from 2^20 for the reset and |psi|^2.
+SPLIT_MIN = 1 << 20
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# `_born` squares each block of this many amplitudes while `abs` left it in cache.
+BORN_BLOCK = 1 << 16
 
 
 # Generator.choice's tolerance on the sum of its probabilities.
@@ -126,6 +155,43 @@ def release_buffers() -> None:
         _kept.clear()
 
 
+def _slabs(size: int, row: int, work: Callable[[slice], object]) -> list:
+    """`work`'s results on contiguous slices that cover range(size), each a
+    whole number of rows of `row` amplitudes, in order: one slice per worker,
+    the caller's thread taking the first, when size >= SPLIT_MIN; else one
+    slice. An exception in any slab is raised here once every slab ended."""
+    rows = size // row
+    slabs = min(WORKERS, rows) if size >= SPLIT_MIN else 1
+    if slabs <= 1:
+        return [work(slice(0, size))]
+    cuts = [rows * i // slabs * row for i in range(slabs + 1)]
+    results, errors, started = [None] * slabs, [], []
+
+    def run_slab(i):
+        try:
+            results[i] = work(slice(cuts[i], cuts[i + 1]))
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    try:
+        for i in range(1, slabs):
+            thread = threading.Thread(target=run_slab, args=(i,))
+            thread.start()
+            started.append(thread)
+        run_slab(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _divide(values: np.ndarray, by) -> None:
+    """values /= by, in row slabs."""
+    _slabs(values.size, 1, lambda s: np.divide(values[s], by, out=values[s]))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes over the mixed-radix space of `dims`. Normalized
@@ -141,7 +207,8 @@ class StateVector:
             raise ValueError(
                 f"{amps.size} amplitudes do not fill dims {self.dims}"
             )
-        norm = np.linalg.norm(amps)
+        # One pass, which BLAS threads itself; only the tolerance test reads it.
+        norm = np.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amps", amps)
@@ -216,12 +283,20 @@ Kernel = Callable[[np.ndarray, np.ndarray], None]
 class GateKernel:
     """A gate planned for one register. `apply(src, dst)` writes the gate's
     action on the flat amplitudes `src` into `dst`, a buffer of the same
-    size; `kind` is DIAGONAL, PERMUTATION or DENSE. Only a DIAGONAL kernel,
-    which is elementwise, may be given `dst is src`. Only a DENSE kernel on
-    targets not adjacent and ascending overwrites `src`, its scratch."""
+    size; `kind` is DIAGONAL, PERMUTATION or DENSE. `src` may also be any
+    whole number of the `row`-amplitude rows the gate maps independently,
+    with `dst` the same rows of the output. Only a DIAGONAL kernel, which is
+    elementwise, may be given `dst is src`. Only a DENSE kernel on targets
+    not adjacent and ascending overwrites `src`, its scratch."""
 
     kind: str
     apply: Kernel
+    row: int
+
+
+def _apply(kernel: GateKernel, src: np.ndarray, dst: np.ndarray) -> None:
+    """Run a planned gate from `src` into `dst`, split into row slabs."""
+    _slabs(src.size, kernel.row, lambda s: kernel.apply(src[s], dst[s]))
 
 
 def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
@@ -229,43 +304,48 @@ def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
     dims = tuple(dims)
     nonzero = matrix != 0
     if np.count_nonzero(nonzero) == np.count_nonzero(np.diagonal(nonzero)):
-        return GateKernel(DIAGONAL, _diagonal_kernel(dims, np.diagonal(matrix).copy(), wires))
+        return _diagonal_kernel(dims, np.diagonal(matrix).copy(), wires)
     if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-        return GateKernel(PERMUTATION, _permutation_kernel(dims, matrix, wires))
-    return GateKernel(DENSE, _dense_kernel(dims, matrix, wires))
+        return _permutation_kernel(dims, matrix, wires)
+    # Dense gates stay whole: BLAS threads their GEMMs itself.
+    return GateKernel(DENSE, _dense_kernel(dims, matrix, wires), prod(dims))
 
 
-def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> Kernel:
-    """Multiply by the diagonal as a phase tensor over the targeted axes."""
+def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> GateKernel:
+    """Multiply by the diagonal as a phase tensor over the targeted axes. A
+    row starts at the first target or, when the phases are spelled out over
+    wires before it, at the first of those."""
     n = len(dims)
     tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
     tensor = tensor.reshape([dims[a] if a in wires else 1 for a in range(n)])
     split, cap = n, max(diagonal.size, GATHER_MAX)  # spelled-out phases stay gate-sized
     while split > 0 and prod(dims[split:]) < MIN_INNER and prod(tensor.shape[:split - 1] + dims[split - 1:]) <= cap:
         split -= 1
-    view = dims[:split] + (prod(dims[split:]),)
-    phase = np.broadcast_to(tensor, tensor.shape[:split] + dims[split:]).reshape(tensor.shape[:split] + (-1,))
+    lead = min(min(wires), split)
+    view = (-1,) + dims[lead:split] + (prod(dims[split:]),)
+    phase = np.broadcast_to(tensor, tensor.shape[:split] + dims[split:]).reshape(tensor.shape[lead:split] + (-1,))
 
     def apply(src, dst):
         np.multiply(src.reshape(view), phase, out=dst.reshape(view))
 
-    return apply
+    return GateKernel(DIAGONAL, apply, prod(dims[lead:]))
 
 
-def _at_digits(dims, wires, digits) -> tuple:
-    """Index of the sub-array where each targeted wire holds its digit. The
-    trailing Ellipsis keeps the result an array even when every wire is
-    targeted."""
-    index = [slice(None)] * len(dims)
+def _at_digits(axes: int, wires, digits) -> tuple:
+    """Index of the sub-array, of an array with `axes` axes, where each
+    targeted axis holds its digit. The trailing Ellipsis keeps the result
+    an array even when every axis is targeted."""
+    index = [slice(None)] * axes
     for wire, digit in zip(wires, digits):
         index[wire] = int(digit)
     return (*index, Ellipsis)
 
 
-def _permutation_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
+def _permutation_kernel(dims, matrix: np.ndarray, wires) -> GateKernel:
     """Send each target basis state to its image, times its phase: one
     gather over the trailing block that holds every target when that block
-    is small, else one strided slice copy per target basis state."""
+    is small, else one strided slice copy per target basis state. A row is
+    that trailing block."""
     target_dims = tuple(dims[w] for w in wires)
     rows = np.argmax(matrix != 0, axis=0)  # image of each target basis state
     phases = matrix[rows, np.arange(rows.size)]
@@ -279,7 +359,7 @@ def _permutation_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
             digits[w - first] = digit
         source = np.ravel_multi_index(digits, dims[first:])
         phase = None if (phases == 1).all() else phases[preimage]
-        view = (prod(dims[:first]), block)
+        view = (-1, block)
 
         def apply(src, dst):
             out = dst.reshape(view)
@@ -289,26 +369,28 @@ def _permutation_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
             if phase is not None:
                 np.multiply(out, phase, out=out)
 
-        return apply
+        return GateKernel(PERMUTATION, apply, block)
 
+    view = (-1,) + dims[first:]
+    axes = [w - first + 1 for w in wires]
     moves = [
         (
-            _at_digits(dims, wires, np.unravel_index(row, target_dims)),
-            _at_digits(dims, wires, np.unravel_index(col, target_dims)),
+            _at_digits(len(view), axes, np.unravel_index(row, target_dims)),
+            _at_digits(len(view), axes, np.unravel_index(col, target_dims)),
             complex(phases[col]),
         )
         for col, row in enumerate(rows)
     ]
 
     def apply(src, dst):
-        psi, out = src.reshape(dims), dst.reshape(dims)
+        psi, out = src.reshape(view), dst.reshape(view)
         for to, frm, phase in moves:
             if phase == 1:
                 out[to] = psi[frm]
             else:
                 np.multiply(psi[frm], phase, out=out[to])
 
-    return apply
+    return GateKernel(PERMUTATION, apply, block)
 
 
 def _ascending_run(wires) -> bool:
@@ -360,7 +442,7 @@ def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
             f"{tuple(state.dims[w] for w in wires)}"
         )
     kernel, out = plan_gate(state.dims, matrix, wires), np.empty_like(state.amps)
-    kernel.apply(state.amps if kernel.kind != DENSE or _ascending_run(wires) else state.amps.copy(), out)
+    _apply(kernel, state.amps if kernel.kind != DENSE or _ascending_run(wires) else state.amps.copy(), out)
     return StateVector(state.dims, out)
 
 
@@ -370,19 +452,28 @@ def _draw(probs: np.ndarray, uniforms, out: np.ndarray | None = None):
     the uniform it takes from its stream. The checks on `probs` are
     choice's, made once per distribution however many uniforms there are.
     The CDF is built in `out` when given, a float array of len(probs)."""
-    total = probs.sum()
-    if not np.isfinite(total) or probs.min() < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
+    # Only the refusal reads these reductions, so their summation order is free.
+    sums, lows = zip(*_slabs(probs.size, 1, lambda s: (probs[s].sum(), probs[s].min())))
+    total = sum(sums)
+    if not np.isfinite(total) or min(lows) < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
     cdf = np.cumsum(probs, out=out)
-    cdf /= cdf[-1]
+    _divide(cdf, cdf[-1])
     return cdf.searchsorted(uniforms, side="right")
 
 
 def _born(amps: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """|amps|^2, written into the first float half of `spare`, a complex
     buffer of the same size."""
-    probs = np.abs(amps, out=spare.view(float)[:amps.size])
-    return np.square(probs, out=probs)
+    probs = spare.view(float)[:amps.size]
+
+    def work(s):
+        for start in range(s.start, s.stop, BORN_BLOCK):
+            block = slice(start, min(start + BORN_BLOCK, s.stop))
+            np.square(np.abs(amps[block], out=probs[block]), out=probs[block])
+
+    _slabs(amps.size, 1, work)
+    return probs
 
 
 def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: float) -> int:
@@ -394,10 +485,14 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: f
         probs = probs.sum(axis=other_axes)
     probs = probs / probs.sum()  # out of place: `dst` is cleared below
     digit = int(_draw(probs, uniform))
-    view = (prod(dims[:wire]), dims[wire], prod(dims[wire + 1:]))
-    out = dst.reshape(view)
-    out.fill(0)
-    np.divide(src.reshape(view)[:, digit], np.sqrt(probs[digit]), out=out[:, digit])
+    view, scale = (-1, dims[wire], prod(dims[wire + 1:])), np.sqrt(probs[digit])
+
+    def collapse(s):
+        out = dst[s].reshape(view)
+        out.fill(0)
+        np.divide(src[s].reshape(view)[:, digit], scale, out=out[:, digit])
+
+    _slabs(dst.size, prod(dims[wire:]), collapse)
     return digit
 
 
@@ -433,16 +528,16 @@ def _evolve(
     src, dst = _buffer(prod(dims)), _buffer(prod(dims))
     for uniforms in repetitions:
         if initial is None:
-            src.fill(0)
+            _slabs(src.size, 1, lambda s: src[s].fill(0))
             src[0] = 1.0
         else:
-            np.copyto(src, initial.amps)
+            _slabs(src.size, 1, lambda s: np.copyto(src[s], initial.amps[s]))
         for step in steps:
             if isinstance(step, GateKernel):
                 if step.kind == DIAGONAL:
-                    step.apply(src, src)  # elementwise, so it may run in place
+                    _apply(step, src, src)  # elementwise, so it may run in place
                     continue
-                step.apply(src, dst)
+                _apply(step, src, dst)
             else:
                 wire, key = step
                 table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, next(uniforms)))
@@ -521,7 +616,7 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
         spare = _buffer(amps.size)
         probs = _born(amps, spare)
         _keep(amps)
-        probs /= probs.sum()
+        _divide(probs, probs.sum())  # the serial pairwise sum: tables pin its bits
         index = _draw(probs, uniforms[:, 0], out=spare.view(float)[amps.size:])
         _keep(spare)
         digits = np.unravel_index(index, dims)

@@ -7,6 +7,9 @@ untouched, and be planned into the kernel class its structure calls for.
 Each property also runs with the size thresholds forced to their other
 side, so the slice permutation, the (L, D, R) matmul and the per-axis
 diagonal broadcast are exercised on small registers too.
+
+Every pass split into row slabs, forced on small registers by a zero split
+threshold and 1-4 workers, must give the bits the one-slab pass gives.
 """
 
 from math import prod
@@ -16,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditsim import StateVector, apply_gate, full_unitary, simulate
+from quditsim import StateVector, apply_gate, full_unitary, run, simulate
 from quditsim import simulator
 from quditsim.circuit import _embed
 from quditsim.gates import GateKind, GateSpec, is_prime, resolve
-from quditsim.simulator import DENSE, DIAGONAL, PERMUTATION, plan_gate
+from quditsim.simulator import DENSE, DIAGONAL, PERMUTATION, GateKernel, MeasurementTable, plan_gate
 from conftest import random_mixed_circuit, random_unit_amps
 
 TOL = 1e-12
@@ -142,3 +145,114 @@ def test_simulate_matches_oracle_with_in_place_diagonals(variant, monkeypatch):
         e0 = np.zeros(final.amps.size, dtype=complex)
         e0[0] = 1.0
         np.testing.assert_allclose(final.amps, full_unitary(circuit) @ e0, rtol=0, atol=1e-10)
+
+
+# --- passes split into row slabs ---
+
+
+def _split(mp, workers):
+    """Split every pass, however small, among `workers` slabs."""
+    mp.setattr(simulator, "SPLIT_MIN", 0)
+    mp.setattr(simulator, "WORKERS", workers)
+
+
+def _check_split(variant, gate, seed, workers):
+    dims, matrix, wires, _ = gate
+    amps = random_unit_amps(np.random.default_rng(seed), prod(dims))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(("FOLD_MAX", "GATHER_MAX", "MIN_INNER"), VARIANTS[variant]):
+            mp.setattr(simulator, name, value)
+        kernel = plan_gate(dims, matrix, wires)
+        whole = np.empty_like(amps)
+        kernel.apply(amps.copy(), whole)
+        slabs = []
+
+        def spy(src, dst):
+            slabs.append(src.size)
+            kernel.apply(src, dst)
+
+        _split(mp, workers)
+        src = amps.copy()
+        out = src if kernel.kind == DIAGONAL else np.empty_like(amps)  # in place, as `_evolve` runs it
+        simulator._apply(GateKernel(kernel.kind, spy, kernel.row), src, out)
+    assert np.array_equal(out, whole), kernel.kind
+    assert len(slabs) == min(workers, amps.size // kernel.row)
+    assert all(size % kernel.row == 0 for size in slabs) and sum(slabs) == amps.size
+    if kernel.kind == DENSE or min(wires) == 0:
+        assert slabs == [amps.size]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=100, deadline=None)
+@given(gate=builtin_gates(), seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 4))
+def test_split_builtin_kernels_are_bit_identical(variant, gate, seed, workers):
+    _check_split(variant, gate, seed, workers)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=100, deadline=None)
+@given(gate=custom_gates(), seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 4))
+def test_split_custom_kernels_are_bit_identical(variant, gate, seed, workers):
+    _check_split(variant, gate, seed, workers)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("kind", ["Z", "X"])
+def test_split_with_more_workers_than_rows(variant, kind):
+    # Three rows before wire 1, four workers: one slab per row.
+    spec = GateSpec(GateKind(kind), (5,), power=1)
+    _check_split(variant, ((3, 5), resolve(spec), (1,), None), seed=4, workers=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=registers(),
+    seed=st.integers(0, 2**32 - 1),
+    workers=st.integers(1, 4),
+    block=st.integers(1, 64),
+)
+def test_split_born_reset_and_draw_are_bit_identical(dims, seed, workers, block):
+    rng = np.random.default_rng(seed)
+    size = prod(dims)
+    initial = StateVector(dims, random_unit_amps(rng, size))
+    uniforms = np.concatenate([[0.0, 1 - 2**-53], rng.random(50)])
+
+    def passes():
+        # Kept buffers full of NaN: an amplitude a slab misses stays NaN.
+        simulator.release_buffers()
+        simulator._keep(np.full(size, np.nan, dtype=complex))
+        simulator._keep(np.full(size, np.nan, dtype=complex))
+        zero = simulator._evolve([], [iter(())], dims, None, MeasurementTable()).copy()
+        copied = simulator._evolve([], [iter(())], dims, initial, MeasurementTable()).copy()
+        probs = simulator._born(initial.amps, np.full(size, np.nan, dtype=complex)).copy()
+        index = simulator._draw(probs.copy(), uniforms)
+        simulator.release_buffers()
+        return zero, copied, probs, index
+
+    serial = passes()
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, workers)
+        mp.setattr(simulator, "BORN_BLOCK", block)
+        split = passes()
+    for name, a, b in zip(("reset", "copy", "born", "draw"), serial, split):
+        assert np.array_equal(a, b), name
+
+
+def test_split_simulate_and_run_are_bit_identical(monkeypatch):
+    rng = np.random.default_rng(33)
+    circuits = []
+    for n in range(16):
+        circuit = random_mixed_circuit(rng, max_qudits=4, max_dim=7, max_depth=16)
+        for q in circuit.qudits:
+            circuit.measure(q)
+        if n % 2:  # mid-circuit: a gate after a measurement
+            circuit.apply(GateSpec(GateKind.H, (circuit.qudits[0].dimension,)), circuit.qudits[0])
+            circuit.measure(circuit.qudits[0], "again")
+        circuits.append(circuit)
+
+    def results():
+        return [(simulate(c, seed=2)[0], run(c, 40, seed=5).table) for c in circuits]
+
+    serial = results()
+    _split(monkeypatch, 3)
+    assert results() == serial

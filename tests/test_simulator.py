@@ -1,6 +1,8 @@
+import multiprocessing
 import sys
 import threading
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -560,3 +562,81 @@ def test_kept_buffers_are_handed_to_one_thread_at_a_time():
     assert errors == []
     assert len(simulator._kept) <= 2
     simulator.release_buffers()
+
+
+# --- passes split into row slabs ---
+
+
+def _shots_terminal_sized() -> Circuit:
+    """44100 amplitudes, well below the split threshold, measured at the end."""
+    circuit = Circuit()
+    q = [circuit.add_qudit(f"q{i}", d) for i, d in enumerate((7, 5, 3, 2) * 2)]
+    for wire in q:
+        circuit.apply(single("H", wire.dimension), wire)
+    circuit.apply(two_qudit("CZ", 3), q[2], q[6])
+    circuit.apply(two_qudit("CNOT", 5), q[1], q[5])
+    for wire in q:
+        circuit.measure(wire)
+    return circuit
+
+
+def test_small_registers_start_no_thread(monkeypatch):
+    circuit = _shots_terminal_sized()
+    assert prod(circuit.dims) == 44100 < simulator.SPLIT_MIN
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    before = threading.enumerate()
+    run(circuit, 100, seed=1)
+    simulate(circuit, seed=1)
+    assert started == [] and threading.enumerate() == before
+
+
+def test_an_exception_in_a_worker_slab_is_raised_in_the_caller(monkeypatch):
+    class SlabError(Exception):
+        pass
+
+    plan = simulator.plan_gate
+
+    def failing_plan(dims, matrix, wires):
+        kernel = plan(dims, matrix, wires)
+
+        def apply(src, dst):
+            if threading.current_thread() is not threading.main_thread():
+                raise SlabError("worker slab")
+            kernel.apply(src, dst)
+
+        return simulator.GateKernel(kernel.kind, apply, kernel.row)
+
+    circuit = ghz_circuit(4, 3)
+    expected, _ = simulate(circuit)
+    monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    monkeypatch.setattr(simulator, "plan_gate", failing_plan)
+    before = threading.enumerate()
+    with pytest.raises(SlabError, match="worker slab"):
+        simulate(circuit)
+    assert threading.enumerate() == before
+    assert len(simulator._kept) <= 2
+    monkeypatch.setattr(simulator, "plan_gate", plan)
+    assert simulate(circuit)[0] == expected
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+def test_a_forked_child_simulates_after_a_split_pass(monkeypatch):
+    circuit = ghz_circuit(5, 3)
+    monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
+    monkeypatch.setattr(simulator, "WORKERS", 2)
+    expected, _ = simulate(circuit)  # split in the parent, before the fork
+
+    def child():
+        if simulate(circuit)[0] != expected:
+            raise SystemExit(3)
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    assert process.exitcode == 0
