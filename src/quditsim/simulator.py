@@ -19,19 +19,27 @@ classes:
   view when D*R is small; otherwise a permuted copy puts the targets last,
   in gate order, for one GEMM with U^T, then the inverse permuted copy.
 
+Each op is classified once. `_plan` then fuses a maximal run of consecutive
+ops of one class into one kernel: diagonal ops into one phase vector over
+the union of their wires, while that union spans at most GATHER_MAX
+amplitudes; permutation ops into one image map with phases, while the
+trailing block from the union's first wire is at most GATHER_MAX, so the
+fused map stays a gather. Both compose in O(union) per op. A measurement or
+an op of another class ends a run, and dense ops are never fused.
+
 `_evolve`, the one driver behind `simulate` and both paths of `run`, takes
 two flat amplitude buffers once, after checking that they fit in physical
 memory. Permutation and dense kernels, and every collapse, read one buffer
 and write the other, and the two swap roles; a diagonal kernel is
 elementwise and runs in place. `_born` writes |psi|^2, for a collapse or
 for terminal sampling, into the spare buffer. So no kernel allocates a
-state, and no plan keeps more than its gate and one gather map or phase
-block of at most GATHER_MAX amplitudes. Both buffers are kept for the next
-call on a register of the same size, released when another size asks for
-buffers or by `release_buffers()`:
-mapped memory costs no page faults, and first-touch faults of a fresh state
-are as slow as a gate and, on a shared host, erratic. `apply_gate` runs the
-same plan into a fresh output buffer and never mutates its input.
+state, and no plan keeps more than its gates, one gather map and one
+phase block of at most GATHER_MAX amplitudes each. Both buffers are kept
+for the next call on a register of the same size, released when another
+size asks for buffers or by `release_buffers()`: mapped memory costs no
+page faults, and first-touch faults of a fresh state are as slow as a gate
+and, on a shared host, erratic. `apply_gate` runs the same plan into a
+fresh output buffer and never mutates its input.
 
 Every state pass whose result does not depend on the order of its work runs
 on all usable cores: `_slabs` splits it into contiguous row slabs, the
@@ -45,11 +53,13 @@ kernel's rows are independent; each gate is planned once and the same
 `len(os.sched_getaffinity(0))`, else `os.cpu_count()`. A pass over fewer
 than SPLIT_MIN amplitudes starts no thread. Three passes stay serial
 because tables pin their bits: the pairwise sum terminal `run` divides by,
-the `cumsum` of the CDF and a collapse's marginal sum. Dense kernels and
-`StateVector`'s norm check, one `vdot`, stay whole because BLAS threads
-them itself. A slab computes on its amplitudes exactly what the whole pass
-computes there, so every state, probability and table is bit for bit the
-one-slab result, whatever the core count.
+the `cumsum` of the CDF and a collapse's marginal sum. A dense (L, D, R)
+matmul on rows of D*R <= GATHER_MAX amplitudes is split too, since BLAS
+runs GEMMs that small on one thread; the folded GEMM, larger rows, the
+permuted GEMM and `StateVector`'s norm check, one `vdot`, stay whole
+because BLAS threads them itself. A slab computes on its amplitudes exactly
+what the whole pass computes there, so every state, probability and table
+is bit for bit the one-slab result, whatever the core count.
 
 Randomness is driven by numpy's SeedSequence/PCG64. Repetition i of `run`
 draws from the stream of `Generator(PCG64(child))`, where `child` is the
@@ -98,8 +108,9 @@ FOLD_MAX = 64
 # amplitudes is one gather with an index map over that block; otherwise it
 # moves one slice per target basis state.
 GATHER_MAX = 1 << 16
-# The diagonal kernel spells its phases out over a trailing block of at least
-# this many amplitudes, so numpy's inner loop stays long on the last wires.
+# On registers under SPLIT_MIN the diagonal kernel spells its phases out over
+# a trailing block of at least this many amplitudes, so numpy's inner loop
+# stays long on the last wires; larger registers take numpy's buffer size.
 MIN_INNER = 1024
 
 
@@ -299,27 +310,45 @@ def _apply(kernel: GateKernel, src: np.ndarray, dst: np.ndarray) -> None:
     _slabs(src.size, kernel.row, lambda s: kernel.apply(src[s], dst[s]))
 
 
-def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
-    """Classify a gate by its matrix's nonzero pattern and build its kernel."""
-    dims = tuple(dims)
+def _structure(matrix: np.ndarray) -> tuple[str, object]:
+    """A gate's kernel class, from its matrix's nonzero pattern, with what
+    that class's kernel takes: the diagonal; the image of each target basis
+    state with its phase; or the matrix."""
     nonzero = matrix != 0
     if np.count_nonzero(nonzero) == np.count_nonzero(np.diagonal(nonzero)):
-        return _diagonal_kernel(dims, np.diagonal(matrix).copy(), wires)
+        return DIAGONAL, np.diagonal(matrix).copy()  # a view would keep the matrix alive
     if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-        return _permutation_kernel(dims, matrix, wires)
-    # Dense gates stay whole: BLAS threads their GEMMs itself.
-    return GateKernel(DENSE, _dense_kernel(dims, matrix, wires), prod(dims))
+        images = np.argmax(nonzero, axis=0)
+        return PERMUTATION, (images, matrix[images, np.arange(images.size)])
+    return DENSE, matrix
+
+
+def _kernel(dims, kind: str, data, wires) -> GateKernel:
+    """The kernel of class `kind` for what `_structure` gives, or for a fused run."""
+    if kind == DIAGONAL:
+        return _diagonal_kernel(dims, data, wires)
+    if kind == PERMUTATION:
+        return _permutation_kernel(dims, *data, wires)
+    return _dense_kernel(dims, data, wires)
+
+
+def plan_gate(dims, matrix: np.ndarray, wires) -> GateKernel:
+    """Classify a gate by its matrix's nonzero pattern and build its kernel."""
+    return _kernel(tuple(dims), *_structure(matrix), tuple(wires))
 
 
 def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> GateKernel:
     """Multiply by the diagonal as a phase tensor over the targeted axes. A
     row starts at the first target or, when the phases are spelled out over
-    wires before it, at the first of those."""
+    wires before it, at the first of those. On a register of at least
+    SPLIT_MIN amplitudes the phases are spelled out over numpy's ufunc
+    buffer size: a shorter broadcast inner loop takes the buffered iterator."""
     n = len(dims)
     tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
     tensor = tensor.reshape([dims[a] if a in wires else 1 for a in range(n)])
+    inner = np.getbufsize() if prod(dims) >= SPLIT_MIN else MIN_INNER
     split, cap = n, max(diagonal.size, GATHER_MAX)  # spelled-out phases stay gate-sized
-    while split > 0 and prod(dims[split:]) < MIN_INNER and prod(tensor.shape[:split - 1] + dims[split - 1:]) <= cap:
+    while split > 0 and prod(dims[split:]) < inner and prod(tensor.shape[:split - 1] + dims[split - 1:]) <= cap:
         split -= 1
     lead = min(min(wires), split)
     view = (-1,) + dims[lead:split] + (prod(dims[split:]),)
@@ -341,14 +370,12 @@ def _at_digits(axes: int, wires, digits) -> tuple:
     return (*index, Ellipsis)
 
 
-def _permutation_kernel(dims, matrix: np.ndarray, wires) -> GateKernel:
-    """Send each target basis state to its image, times its phase: one
-    gather over the trailing block that holds every target when that block
-    is small, else one strided slice copy per target basis state. A row is
-    that trailing block."""
+def _permutation_kernel(dims, rows: np.ndarray, phases: np.ndarray, wires) -> GateKernel:
+    """Send each target basis state `col` to its image `rows[col]`, times
+    `phases[col]`: one gather over the trailing block that holds every
+    target when that block is small, else one strided slice copy per target
+    basis state. A row is that trailing block."""
     target_dims = tuple(dims[w] for w in wires)
-    rows = np.argmax(matrix != 0, axis=0)  # image of each target basis state
-    phases = matrix[rows, np.arange(rows.size)]
     first = min(wires)
     block = prod(dims[first:])
     if block <= GATHER_MAX:
@@ -398,9 +425,12 @@ def _ascending_run(wires) -> bool:
     return list(wires) == list(range(wires[0], wires[0] + len(wires)))
 
 
-def _dense_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
+def _dense_kernel(dims, matrix: np.ndarray, wires) -> GateKernel:
     """The module docstring's three dense paths; the permuted one runs its
-    GEMM from `dst` back into `src`."""
+    GEMM from `dst` back into `src`. Only the (L, D, R) matmul on rows of
+    D*R <= GATHER_MAX amplitudes is split into row slabs: BLAS runs GEMMs
+    that small on one thread."""
+    whole = prod(dims)
     if not _ascending_run(wires):
         order = [a for a in range(len(dims)) if a not in wires] + list(wires)
         moved, inverse = tuple(dims[a] for a in order), tuple(np.argsort(order))
@@ -410,20 +440,23 @@ def _dense_kernel(dims, matrix: np.ndarray, wires) -> Kernel:
             np.copyto(dst.reshape(moved), src.reshape(dims).transpose(order))
             np.matmul(dst.reshape(view), gate_t, out=src.reshape(view))
             np.copyto(dst.reshape(dims), src.reshape(moved).transpose(inverse))
-    elif prod(dims[wires[0]:]) <= FOLD_MAX:
-        trail = prod(dims[wires[-1] + 1:])
-        view = (prod(dims[:wires[0]]), prod(dims[wires[0]:]))
-        folded = np.ascontiguousarray(np.kron(matrix, np.eye(trail)).T)
+
+        return GateKernel(DENSE, apply, whole)
+    row = prod(dims[wires[0]:])
+    if row <= FOLD_MAX:
+        view = (-1, row)
+        folded = np.ascontiguousarray(np.kron(matrix, np.eye(row // len(matrix))).T)
 
         def apply(src, dst):
             np.matmul(src.reshape(view), folded, out=dst.reshape(view))
-    else:
-        view = (prod(dims[:wires[0]]), len(matrix), prod(dims[wires[-1] + 1:]))
 
-        def apply(src, dst):
-            np.matmul(matrix, src.reshape(view), out=dst.reshape(view))
+        return GateKernel(DENSE, apply, whole)
+    view = (-1, len(matrix), row // len(matrix))
 
-    return apply
+    def apply(src, dst):
+        np.matmul(matrix, src.reshape(view), out=dst.reshape(view))
+
+    return GateKernel(DENSE, apply, row if row <= GATHER_MAX else whole)
 
 
 def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
@@ -496,24 +529,82 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: f
     return digit
 
 
+def _fits(dims, kind: str, wires) -> bool:
+    """Whether a run of `kind` ops over the union `wires` may be one kernel:
+    diagonal phases over at most GATHER_MAX amplitudes, or a permutation
+    whose trailing block from the first wire keeps it on the gather path."""
+    if kind == DIAGONAL:
+        return prod(dims[w] for w in wires) <= GATHER_MAX
+    return kind == PERMUTATION and prod(dims[min(wires):]) <= GATHER_MAX
+
+
+def _fuse(dims, kind: str, ops) -> GateKernel:
+    """One kernel for a run of (wires, data) ops of one class, in program
+    order. Diagonals multiply as phase tensors over the union of their
+    wires; permutations compose as an image map with phases over it. Both
+    are O(union) per op."""
+    if len(ops) == 1:
+        return _kernel(dims, kind, ops[0][1], ops[0][0])
+    union = sorted({w for wires, _ in ops for w in wires})
+    shape = [dims[w] for w in union]
+    if kind == DIAGONAL:
+        phases = np.ones(shape, dtype=complex)
+        for wires, diagonal in ops:
+            tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
+            phases *= tensor.reshape([dims[w] if w in wires else 1 for w in union])
+        return _diagonal_kernel(dims, phases.reshape(-1), union)
+    digits = np.unravel_index(np.arange(prod(shape)), shape)
+    images, phases = np.arange(prod(shape)), np.ones(prod(shape), dtype=complex)
+    for wires, (rows, gate_phases) in ops:
+        axes, target_dims = [union.index(w) for w in wires], [dims[w] for w in wires]
+        target = np.ravel_multi_index([digits[a] for a in axes], target_dims)
+        moved = list(digits)
+        for a, digit in zip(axes, np.unravel_index(rows[target], target_dims)):
+            moved[a] = digit
+        # Basis state j has gone to images[j]; this op sends that on.
+        phases = phases * gate_phases[target[images]]
+        images = np.ravel_multi_index(moved, shape)[images]
+    return _permutation_kernel(dims, images, phases, union)
+
+
 def _plan(circuit: Circuit, measure: bool = True, plans: dict | None = None):
-    """Yield one step per op in program order: a gate's planned kernel, or
-    a measurement's (wire index, key). Measurements are left out unless
-    `measure`. Given `plans`, gate ops on the same wires whose resolved
-    matrices are equal share one kernel, kept in `plans`."""
+    """Yield one step per run of ops in program order: a planned kernel, or
+    a measurement's (wire index, key). A run is one op, or consecutive
+    diagonal or permutation ops that `_fits` lets fuse; a measurement ends
+    it. Measurements are left out unless `measure`. Only the open run is
+    held. Given `plans`, runs of the same ops on the same wires share one
+    kernel, kept in `plans`."""
     dims = circuit.dims
+    kind, ops, keys, union = None, [], [], set()
+
+    def close():
+        if plans is None:
+            return _fuse(dims, kind, ops)
+        key = tuple(keys)
+        if key not in plans:
+            plans[key] = _fuse(dims, kind, ops)
+        return plans[key]
+
     for op in circuit.ops:
-        if not isinstance(op, Measurement):
-            matrix, wires = resolve(op.spec), tuple(circuit.wire_index(w) for w in op.wires)
-            if plans is None:
-                yield plan_gate(dims, matrix, wires)
-            else:
-                key = (wires, matrix.tobytes())
-                if key not in plans:
-                    plans[key] = plan_gate(dims, matrix, wires)
-                yield plans[key]
-        elif measure:
-            yield circuit.wire_index(op.wire), op.key
+        if isinstance(op, Measurement):
+            if ops:
+                yield close()
+                ops, keys, union = [], [], set()
+            if measure:
+                yield circuit.wire_index(op.wire), op.key
+            continue
+        matrix, wires = resolve(op.spec), tuple(circuit.wire_index(w) for w in op.wires)
+        op_kind, data = _structure(matrix)
+        if ops and not (op_kind == kind and _fits(dims, kind, union | set(wires))):
+            yield close()
+            ops, keys, union = [], [], set()
+        kind = op_kind
+        ops.append((wires, data))
+        union.update(wires)
+        if plans is not None:
+            keys.append((wires, matrix.tobytes()))
+    if ops:
+        yield close()
 
 
 def _evolve(

@@ -163,6 +163,11 @@ def _check_split(variant, gate, seed, workers):
         for name, value in zip(("FOLD_MAX", "GATHER_MAX", "MIN_INNER"), VARIANTS[variant]):
             mp.setattr(simulator, name, value)
         kernel = plan_gate(dims, matrix, wires)
+        # Only the (L, D, R) matmul on small rows splits among dense kernels.
+        row = prod(dims[min(wires):])
+        dense_whole = kernel.kind == DENSE and not (
+            simulator._ascending_run(wires) and simulator.FOLD_MAX < row <= simulator.GATHER_MAX
+        )
         whole = np.empty_like(amps)
         kernel.apply(amps.copy(), whole)
         slabs = []
@@ -178,7 +183,7 @@ def _check_split(variant, gate, seed, workers):
     assert np.array_equal(out, whole), kernel.kind
     assert len(slabs) == min(workers, amps.size // kernel.row)
     assert all(size % kernel.row == 0 for size in slabs) and sum(slabs) == amps.size
-    if kernel.kind == DENSE or min(wires) == 0:
+    if dense_whole or min(wires) == 0:
         assert slabs == [amps.size]
 
 
@@ -202,6 +207,16 @@ def test_split_with_more_workers_than_rows(variant, kind):
     # Three rows before wire 1, four workers: one slab per row.
     spec = GateSpec(GateKind(kind), (5,), power=1)
     _check_split(variant, ((3, 5), resolve(spec), (1,), None), seed=4, workers=4)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("dims, wires", [((50, 3, 420), (1,)), ((9, 2, 3, 1000), (1, 2)), ((4, 7, 7, 2), (1,))])
+def test_split_dense_matmul_is_bit_identical(dims, wires, workers):
+    # Rows of 1260, 6000 and 98 amplitudes: BLAS-sized GEMMs run from several threads at once.
+    side = prod(dims[w] for w in wires)
+    rng = np.random.default_rng(side)
+    matrix, _ = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    _check_split("default", (dims, matrix, wires, None), seed=9, workers=workers)
 
 
 @settings(max_examples=100, deadline=None)

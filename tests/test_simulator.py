@@ -452,27 +452,62 @@ def test_evolution_and_sampling_stay_in_two_state_buffers(name, call):
     assert _traced_peak_states(call) <= 2.05, name
 
 
+def _plan_run(dims, ops):
+    """The kernel `_plan` fuses from a run of (matrix, wires) ops of one class."""
+    structures = [simulator._structure(matrix) for matrix, _ in ops]
+    return simulator._fuse(dims, structures[0][0], [(wires, data) for (_, wires), (_, data) in zip(ops, structures)])
+
+
+MAP, PHASES = 8, 16  # bytes per gather-map entry and per spelled-out phase
+
+
 @pytest.mark.parametrize(
-    "dims, make_matrix, wires",
+    "dims, make_ops, bound",
     [
-        ((1 << 20, 2), lambda: resolve(single("Z", 2)), (1,)),
-        ((40, 60, 40), lambda: resolve(two_qudit("CZ", 40)), (0, 2)),
-        ((2,) * 20, lambda: _random_unitary(4), (17, 3)),
-        ((2,) * 17, lambda: resolve(single("X", 2)), (1,)),
+        ((1 << 20, 2), lambda: [(resolve(single("Z", 2)), (1,))], MAP),
+        ((40, 60, 40), lambda: [(resolve(two_qudit("CZ", 40)), (0, 2))], MAP),
+        ((2,) * 20, lambda: [(_random_unitary(4), (17, 3))], MAP),
+        ((2,) * 17, lambda: [(resolve(single("X", 2)), (1,))], MAP),
+        # Fused: phases over 16 wires; a phased map over wires 1-16.
+        ((2,) * 20, lambda: [(resolve(single("Z", 2)), (w,)) for w in range(4, 20)]
+         + [(np.diag(np.exp(1j * np.arange(4))), (19, 4))], PHASES),
+        ((2,) * 17, lambda: [(np.array([[0, 1j], [1, 0]]), (1,)), (resolve(two_qudit("CNOT", 2)), (16, 1))], MAP + PHASES),
     ],
-    ids=["Z", "CZ", "dense", "X"],
+    ids=["Z", "CZ", "dense", "X", "fused diagonal", "fused permutation"],
 )
-def test_what_a_plan_retains_depends_on_the_gate_not_on_the_register(dims, make_matrix, wires):
-    # At most one gather map over GATHER_MAX amplitudes (an int64 index
-    # each) and a few small gate-sized arrays, on registers of 1.5-32 MiB.
-    simulator.plan_gate(dims, make_matrix(), wires)  # warm-up: numpy caches what its first calls set up
+def test_what_a_plan_retains_depends_on_the_gate_not_on_the_register(dims, make_ops, bound):
+    # At most GATHER_MAX amplitudes of gather map (an int64 index each) and,
+    # for a fused run, of phases, plus a few small gate-sized arrays, on
+    # registers of 1.5-32 MiB.
+    _plan_run(dims, make_ops())  # warm-up: numpy caches what its first calls set up
     tracemalloc.start()
     try:
-        kernel = simulator.plan_gate(dims, make_matrix(), wires)  # the matrix is freed unless kept
+        kernel = _plan_run(dims, make_ops())  # the matrices are freed unless kept
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained <= simulator.GATHER_MAX * 8 + (64 << 10), kernel.kind
+    assert retained <= simulator.GATHER_MAX * bound + (64 << 10), kernel.kind
+
+
+def test_a_last_wire_diagonal_on_a_large_register_is_unbuffered():
+    # Phases spelled out over fewer amplitudes than numpy's ufunc buffer make
+    # the in-place multiply take the buffered iterator: a 128 KiB buffer per slab.
+    dims = (2,) * 20
+    assert prod(dims) >= simulator.SPLIT_MIN
+    kernel = simulator.plan_gate(dims, resolve(single("Z", 2)), (19,))
+    amps = np.ones(prod(dims), dtype=complex)
+    simulator._apply(kernel, amps, amps)
+    tracemalloc.start()
+    try:
+        simulator._apply(kernel, amps, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 10
+    np.testing.assert_allclose(amps, 1, rtol=0, atol=1e-12)  # Z twice
+    # Small registers keep MIN_INNER: Z on the last of 44100 amplitudes spells
+    # its phases out over the last three wires' 1260.
+    assert simulator.plan_gate((7, 5, 3, 2) * 2, resolve(single("Z", 2)), (7,)).row == 1260
 
 
 def test_mid_circuit_run_shares_one_plan_between_identical_gate_ops():
@@ -596,10 +631,10 @@ def test_an_exception_in_a_worker_slab_is_raised_in_the_caller(monkeypatch):
     class SlabError(Exception):
         pass
 
-    plan = simulator.plan_gate
+    plan = simulator._kernel
 
-    def failing_plan(dims, matrix, wires):
-        kernel = plan(dims, matrix, wires)
+    def failing_plan(dims, kind, data, wires):
+        kernel = plan(dims, kind, data, wires)
 
         def apply(src, dst):
             if threading.current_thread() is not threading.main_thread():
@@ -608,17 +643,22 @@ def test_an_exception_in_a_worker_slab_is_raised_in_the_caller(monkeypatch):
 
         return simulator.GateKernel(kernel.kind, apply, kernel.row)
 
+    # The GHZ staircase fuses into one whole-state kernel; X on the last
+    # wire is a kernel of 27 rows, which the worker slab takes some of.
     circuit = ghz_circuit(4, 3)
+    circuit.apply(single("H", 3), circuit.qudits[0])
+    circuit.apply(single("X", 3), circuit.qudits[3])
+    assert min(step.row for step in simulator._plan(circuit)) < prod(circuit.dims)
     expected, _ = simulate(circuit)
     monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
     monkeypatch.setattr(simulator, "WORKERS", 2)
-    monkeypatch.setattr(simulator, "plan_gate", failing_plan)
+    monkeypatch.setattr(simulator, "_kernel", failing_plan)
     before = threading.enumerate()
     with pytest.raises(SlabError, match="worker slab"):
         simulate(circuit)
     assert threading.enumerate() == before
     assert len(simulator._kept) <= 2
-    monkeypatch.setattr(simulator, "plan_gate", plan)
+    monkeypatch.setattr(simulator, "_kernel", plan)
     assert simulate(circuit)[0] == expected
 
 
