@@ -42,24 +42,32 @@ and, on a shared host, erratic. `apply_gate` runs the same plan into a
 fresh output buffer and never mutates its input.
 
 Every state pass whose result does not depend on the order of its work runs
-on all usable cores: `_slabs` splits it into contiguous row slabs, the
-caller's thread running one and a short-lived thread each of the others.
-The split passes are the diagonal and permutation kernels, the reset to
-|0...0> or to `initial`, a collapse, `_born` (abs then square, one
-cache-sized block at a time), the normalising divides and `_draw`'s check
-reductions. A gate never touches the wires before its first target, so a
-kernel's rows are independent; each gate is planned once and the same
-`GateKernel.apply` runs on any whole number of its rows. Usable cores are
-`len(os.sched_getaffinity(0))`, else `os.cpu_count()`. A pass over fewer
-than SPLIT_MIN amplitudes starts no thread. Three passes stay serial
-because tables pin their bits: the pairwise sum terminal `run` divides by,
-the `cumsum` of the CDF and a collapse's marginal sum. A dense (L, D, R)
-matmul on rows of D*R <= GATHER_MAX amplitudes is split too, since BLAS
-runs GEMMs that small on one thread; the folded GEMM, larger rows, the
-permuted GEMM and `StateVector`'s norm check, one `vdot`, stay whole
-because BLAS threads them itself. A slab computes on its amplitudes exactly
-what the whole pass computes there, so every state, probability and table
-is bit for bit the one-slab result, whatever the core count.
+on all usable cores: `_slabs` splits it into contiguous slabs, the caller's
+thread running one and a short-lived thread each of the others. The split
+passes are the gate kernels, the reset to |0...0> or to `initial`, a
+collapse, `_born` (abs then square, one cache-sized block at a time),
+`StateVector`'s norm check and terminal sampling's divide. A gate never
+touches the wires before its first target, so a kernel's rows are
+independent; each gate is planned once and the same `GateKernel.apply` runs
+on any whole number of its rows. A kernel of one row splits its own work: a
+diagonal on wire 0 at digit prefixes, its phases sliced to match, and a
+tiled GEMM at whole tiles. Usable cores are `len(os.sched_getaffinity(0))`,
+else `os.cpu_count()`. A pass over fewer than SPLIT_MIN amplitudes starts no
+thread. The sums whose bits tables pin stay serial: the CDF's running sum
+and a collapse's marginal. The total terminal sampling divides by is
+numpy's pairwise `probs.sum()` bit for bit, its leaves summed by `_born`'s
+slabs. A slab computes on its amplitudes exactly what the whole pass
+computes there, so every state, probability and table is bit for bit the
+one-slab result, whatever the core count.
+
+BLAS never threads a state pass. OpenBLAS wakes its thread pool for a GEMM
+of m*n*k >= GEMM_MAX, and the pool then spins for ~0.1 s, taking a core
+from the slabs that follow. So on a register of at least SPLIT_MIN
+amplitudes a larger GEMM runs as tiles under GEMM_MAX, in a grid fixed from
+the first amplitude, which `_slabs` cuts only at whole tiles: a tile's
+shape does not depend on the core count. The norm check sums squares with
+`einsum`, which does not call BLAS. Only a gate of 182 or more target
+states, where two rows of its GEMM already reach GEMM_MAX, is left to BLAS.
 
 Randomness is driven by numpy's SeedSequence/PCG64. Repetition i of `run`
 draws from the stream of `Generator(PCG64(child))`, where `child` is the
@@ -71,7 +79,10 @@ builds no SeedSequence or Generator per repetition. NumPy's stream
 compatibility policy (NEP 19) keeps that arithmetic, and so every pinned
 table, stable across numpy versions. Every sample is drawn by one exact
 sampler, `_draw`, which does what `Generator.choice(len(p), p=p)` does, bit
-for bit, with one CDF per distribution and one `searchsorted`.
+for bit, with one CDF per distribution and one `searchsorted`. On a register
+of more than BORN_BLOCK amplitudes terminal sampling (`_sample`) builds that
+CDF in place over |psi|^2 and normalises and searches only the blocks its
+uniforms fall in: two passes over the state after `_born`.
 """
 
 from __future__ import annotations
@@ -112,6 +123,9 @@ GATHER_MAX = 1 << 16
 # a trailing block of at least this many amplitudes, so numpy's inner loop
 # stays long on the last wires; larger registers take numpy's buffer size.
 MIN_INNER = 1024
+# A diagonal on wire 0 of a large register is split at digit prefixes of its
+# first wires, at least this many of them.
+PREFIXES = 64
 
 
 # A state pass over at least this many amplitudes is split into row slabs, one
@@ -120,8 +134,16 @@ MIN_INNER = 1024
 # kernels and from 2^20 for the reset and |psi|^2.
 SPLIT_MIN = 1 << 20
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# `_born` squares each block of this many amplitudes while `abs` left it in cache.
+# `_born` squares and sums blocks of at most this many amplitudes while `abs`
+# left them in cache; terminal sampling normalises and searches its CDF in
+# blocks of this many.
 BORN_BLOCK = 1 << 16
+# OpenBLAS (0.3.31) runs a GEMM on the calling thread while m*n*k < GEMM_MAX; a
+# larger one wakes its thread pool, which then spins for ~0.1 s. Measured on a
+# 2-vCPU VM: m*n*k of 65,520 and 65,529 stay, 65,536 and 65,538 wake.
+GEMM_MAX = 1 << 16
+# numpy's pairwise summation adds runs of at most this many values serially.
+PAIRWISE_LEAF = 128
 
 
 # Generator.choice's tolerance on the sum of its probabilities.
@@ -167,15 +189,16 @@ def release_buffers() -> None:
 
 
 def _slabs(size: int, row: int, work: Callable[[slice], object]) -> list:
-    """`work`'s results on contiguous slices that cover range(size), each a
-    whole number of rows of `row` amplitudes, in order: one slice per worker,
-    the caller's thread taking the first, when size >= SPLIT_MIN; else one
-    slice. An exception in any slab is raised here once every slab ended."""
+    """`work`'s results on contiguous slices that cover range(size), in order,
+    each a whole number of rows of `row` amplitudes but the last, which also
+    takes any part row left over: one slice per worker, the caller's thread
+    taking the first, when size >= SPLIT_MIN; else one slice. An exception in
+    any slab is raised here once every slab ended."""
     rows = size // row
     slabs = min(WORKERS, rows) if size >= SPLIT_MIN else 1
     if slabs <= 1:
         return [work(slice(0, size))]
-    cuts = [rows * i // slabs * row for i in range(slabs + 1)]
+    cuts = [rows * i // slabs * row for i in range(slabs)] + [size]
     results, errors, started = [None] * slabs, [], []
 
     def run_slab(i):
@@ -198,11 +221,6 @@ def _slabs(size: int, row: int, work: Callable[[slice], object]) -> list:
     return results
 
 
-def _divide(values: np.ndarray, by) -> None:
-    """values /= by, in row slabs."""
-    _slabs(values.size, 1, lambda s: np.divide(values[s], by, out=values[s]))
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes over the mixed-radix space of `dims`. Normalized
@@ -218,8 +236,10 @@ class StateVector:
             raise ValueError(
                 f"{amps.size} amplitudes do not fill dims {self.dims}"
             )
-        # One pass, which BLAS threads itself; only the tolerance test reads it.
-        norm = np.sqrt(np.vdot(amps, amps).real)
+        # Only the tolerance test reads the norm: squares of the float view,
+        # summed in slabs by einsum, which does not call BLAS.
+        x = amps.view(float)
+        norm = np.sqrt(sum(_slabs(x.size, 1, lambda s: np.einsum("i,i->", x[s], x[s]))))
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amps", amps)
@@ -296,9 +316,10 @@ class GateKernel:
     action on the flat amplitudes `src` into `dst`, a buffer of the same
     size; `kind` is DIAGONAL, PERMUTATION or DENSE. `src` may also be any
     whole number of the `row`-amplitude rows the gate maps independently,
-    with `dst` the same rows of the output. Only a DIAGONAL kernel, which is
-    elementwise, may be given `dst is src`. Only a DENSE kernel on targets
-    not adjacent and ascending overwrites `src`, its scratch."""
+    with `dst` the same rows of the output; a kernel of one row may split its
+    own work with `_slabs`. Only a DIAGONAL kernel, which is elementwise, may
+    be given `dst is src`. Only a DENSE kernel on targets not adjacent and
+    ascending overwrites `src`, its scratch."""
 
     kind: str
     apply: Kernel
@@ -342,7 +363,10 @@ def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> GateKernel:
     row starts at the first target or, when the phases are spelled out over
     wires before it, at the first of those. On a register of at least
     SPLIT_MIN amplitudes the phases are spelled out over numpy's ufunc
-    buffer size: a shorter broadcast inner loop takes the buffered iterator."""
+    buffer size: a shorter broadcast inner loop takes the buffered iterator.
+    There a kernel of one row, a diagonal on wire 0, runs as one multiply per
+    digit prefix of its first wires (at least PREFIXES of them), each with
+    its slice of the phases, so `_slabs` can cut it at any prefix."""
     n = len(dims)
     tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
     tensor = tensor.reshape([dims[a] if a in wires else 1 for a in range(n)])
@@ -353,6 +377,23 @@ def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> GateKernel:
     lead = min(min(wires), split)
     view = (-1,) + dims[lead:split] + (prod(dims[split:]),)
     phase = np.broadcast_to(tensor, tensor.shape[:split] + dims[split:]).reshape(tensor.shape[lead:split] + (-1,))
+    if lead == 0 < split and prod(dims) >= SPLIT_MIN:
+        cut = next(c for c in range(1, split + 1) if c == split or prod(dims[:c]) >= PREFIXES)
+        shape, block = dims[cut:split] + (-1,), prod(dims[cut:])
+        parts = [  # the phases of each prefix: its digits on targeted axes, 0 on the others
+            phase[tuple(digit if size > 1 else 0 for digit, size in zip(digits, phase.shape))]
+            for digits in np.ndindex(dims[:cut])
+        ]
+
+        def apply(src, dst):
+            def work(s):
+                for p in range(s.start // block, s.stop // block):
+                    at = slice(p * block, (p + 1) * block)
+                    np.multiply(src[at].reshape(shape), parts[p], out=dst[at].reshape(shape))
+
+            _slabs(src.size, block, work)
+
+        return GateKernel(DIAGONAL, apply, prod(dims))
 
     def apply(src, dst):
         np.multiply(src.reshape(view), phase, out=dst.reshape(view))
@@ -425,33 +466,74 @@ def _ascending_run(wires) -> bool:
     return list(wires) == list(range(wires[0], wires[0] + len(wires)))
 
 
+def _tile(count: int, cost: int) -> int:
+    """GEMM rows (or columns) per tile when each costs `cost` of m*n*k: the
+    most that stay under GEMM_MAX, fewer when that would leave a last tile
+    of one, which numpy would run as a gemv."""
+    most = (GEMM_MAX - 1) // cost
+    return next((t for t in range(most, 1, -1) if count % t != 1), most)
+
+
+def _gemm(src: np.ndarray, matrix: np.ndarray, dst: np.ndarray) -> None:
+    """dst = src @ matrix on rows of len(matrix) amplitudes. On a register of
+    at least SPLIT_MIN amplitudes a GEMM of m*n*k >= GEMM_MAX runs as tiles
+    of `_tile` rows from the first amplitude, split at whole tiles, the last
+    slab taking the part tile left over."""
+    k = len(matrix)
+    rows = src.size // k
+    if src.size < SPLIT_MIN or rows * k * k < GEMM_MAX or (tile := _tile(rows, k * k)) < 2:
+        np.matmul(src.reshape(-1, k), matrix, out=dst.reshape(-1, k))
+        return
+
+    def work(s):
+        end = s.stop - (s.stop - s.start) % (tile * k)
+        np.matmul(src[s.start:end].reshape(-1, tile, k), matrix, out=dst[s.start:end].reshape(-1, tile, k))
+        if end < s.stop:
+            np.matmul(src[end:s.stop].reshape(-1, k), matrix, out=dst[end:s.stop].reshape(-1, k))
+
+    _slabs(src.size, tile * k, work)
+
+
 def _dense_kernel(dims, matrix: np.ndarray, wires) -> GateKernel:
     """The module docstring's three dense paths; the permuted one runs its
-    GEMM from `dst` back into `src`. Only the (L, D, R) matmul on rows of
-    D*R <= GATHER_MAX amplitudes is split into row slabs: BLAS runs GEMMs
-    that small on one thread."""
+    GEMM from `dst` back into `src`. The (L, D, R) matmul on rows whose GEMM
+    stays under GEMM_MAX is split into row slabs; on a register of at least
+    SPLIT_MIN amplitudes a larger one runs as (D, D) @ (D, C) tiles, C
+    columns of one row at a time, and the folded and permuted GEMMs as row
+    tiles (`_gemm`)."""
     whole = prod(dims)
     if not _ascending_run(wires):
         order = [a for a in range(len(dims)) if a not in wires] + list(wires)
         moved, inverse = tuple(dims[a] for a in order), tuple(np.argsort(order))
-        view, gate_t = (-1, len(matrix)), np.ascontiguousarray(matrix.T)
+        gate_t = np.ascontiguousarray(matrix.T)
 
         def apply(src, dst):
             np.copyto(dst.reshape(moved), src.reshape(dims).transpose(order))
-            np.matmul(dst.reshape(view), gate_t, out=src.reshape(view))
+            _gemm(dst, gate_t, src)
             np.copyto(dst.reshape(dims), src.reshape(moved).transpose(inverse))
 
         return GateKernel(DENSE, apply, whole)
     row = prod(dims[wires[0]:])
     if row <= FOLD_MAX:
-        view = (-1, row)
         folded = np.ascontiguousarray(np.kron(matrix, np.eye(row // len(matrix))).T)
+        return GateKernel(DENSE, lambda src, dst: _gemm(src, folded, dst), whole)
+    d, right = len(matrix), row // len(matrix)
+    view = (-1, d, right)
+    if whole >= SPLIT_MIN and d * d * right >= GEMM_MAX and (cols := _tile(right, d * d)) >= 2:
+        per_row, tile = -(-right // cols), d * cols
 
         def apply(src, dst):
-            np.matmul(src.reshape(view), folded, out=dst.reshape(view))
+            a, b = src.reshape(view), dst.reshape(view)
+
+            def work(s):
+                for t in range(s.start // tile, s.stop // tile):
+                    r, j = divmod(t, per_row)
+                    c = slice(j * cols, (j + 1) * cols)
+                    np.matmul(matrix, a[r, :, c], out=b[r, :, c])
+
+            _slabs(len(a) * per_row * tile, tile, work)  # every tile counted as D*C amplitudes
 
         return GateKernel(DENSE, apply, whole)
-    view = (-1, len(matrix), row // len(matrix))
 
     def apply(src, dst):
         np.matmul(matrix, src.reshape(view), out=dst.reshape(view))
@@ -485,34 +567,80 @@ def _draw(probs: np.ndarray, uniforms, out: np.ndarray | None = None):
     the uniform it takes from its stream. The checks on `probs` are
     choice's, made once per distribution however many uniforms there are.
     The CDF is built in `out` when given, a float array of len(probs)."""
-    # Only the refusal reads these reductions, so their summation order is free.
-    sums, lows = zip(*_slabs(probs.size, 1, lambda s: (probs[s].sum(), probs[s].min())))
-    total = sum(sums)
-    if not np.isfinite(total) or min(lows) < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
+    total = probs.sum()  # only the refusal reads it
+    if not np.isfinite(total) or probs.min() < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
     cdf = np.cumsum(probs, out=out)
-    _divide(cdf, cdf[-1])
+    cdf /= cdf[-1]
     return cdf.searchsorted(uniforms, side="right")
 
 
-def _born(amps: np.ndarray, spare: np.ndarray) -> np.ndarray:
+def _pairwise(start: int, n: int, leaf: Callable[[int, int], float]) -> float:
+    """numpy's pairwise sum of the n values from `start`, its tree cut at
+    leaves of at most max(BORN_BLOCK, PAIRWISE_LEAF) values, which numpy
+    sums from their first value as it sums a whole array: `leaf(start,
+    stop)` gives a leaf's sum, leaves in order."""
+    if n <= max(BORN_BLOCK, PAIRWISE_LEAF):
+        return leaf(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(start, half, leaf) + _pairwise(start + half, n - half, leaf)
+
+
+def _born(amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, float]:
     """|amps|^2, written into the first float half of `spare`, a complex
-    buffer of the same size."""
+    buffer of the same size, and its sum, bit for bit numpy's pairwise
+    `probs.sum()`: each leaf of the summation tree is summed while abs and
+    square left it in cache."""
     probs = spare.view(float)[:amps.size]
+    leaves = []
+    _pairwise(0, amps.size, lambda a, b: leaves.append((a, b)) or 0.0)
 
     def work(s):
-        for start in range(s.start, s.stop, BORN_BLOCK):
-            block = slice(start, min(start + BORN_BLOCK, s.stop))
-            np.square(np.abs(amps[block], out=probs[block]), out=probs[block])
+        sums = {}
+        for a, b in leaves:
+            if s.start <= a < s.stop:
+                np.square(np.abs(amps[a:b], out=probs[a:b]), out=probs[a:b])
+                sums[a] = probs[a:b].sum()
+        return sums
 
-    _slabs(amps.size, 1, work)
-    return probs
+    sums = {a: x for part in _slabs(amps.size, 1, work) for a, x in part.items()}
+    return probs, _pairwise(0, amps.size, lambda a, b: sums[a])
+
+
+def _sample(probs: np.ndarray, total: float, uniforms, scratch: np.ndarray) -> np.ndarray:
+    """`_draw(probs / total, uniforms)`, bit for bit, where `total` is
+    probs.sum() and `scratch` a float array as long as probs. Up to
+    BORN_BLOCK values this is `_draw`. Above, probs is divided in slabs and
+    accumulated into its CDF in place. cdf / cdf[-1] is monotone, so a
+    uniform's index lies in the first block of BORN_BLOCK values whose
+    normalised last value exceeds it: only that block is normalised, into
+    `scratch`, and searched."""
+    if probs.size <= BORN_BLOCK:
+        np.divide(probs, total, out=probs)
+        return _draw(probs, uniforms, out=scratch)
+    if not 0 < total < np.inf:  # |psi|^2 >= 0, and a finite positive total sums p to 1
+        raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
+    _slabs(probs.size, 1, lambda s: np.divide(probs[s], total, out=probs[s]))
+    cdf = np.cumsum(probs, out=probs)
+    # The last value of every block but the last, normalised, after one block of room.
+    ends = cdf[BORN_BLOCK - 1:-1:BORN_BLOCK]
+    ends = np.divide(ends, cdf[-1], out=scratch[BORN_BLOCK:BORN_BLOCK + ends.size])
+    uniforms = np.asarray(uniforms, dtype=float)
+    blocks = ends.searchsorted(uniforms, side="right")
+    index = np.empty(blocks.shape, dtype=np.intp)
+    order = np.argsort(blocks, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(blocks[order])) + 1):
+        start = int(blocks[group[0]]) * BORN_BLOCK
+        block = cdf[start:start + BORN_BLOCK]
+        block = np.divide(block, cdf[-1], out=scratch[:block.size])
+        index[group] = start + block.searchsorted(uniforms[group], side="right")
+    return index
 
 
 def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: float) -> int:
     """Sample the wire's marginal of `src` with a uniform in [0, 1); write
     the collapsed, renormalized state into `dst`."""
-    probs = _born(src, dst).reshape(dims)
+    probs = _born(src, dst)[0].reshape(dims)
     other_axes = tuple(a for a in range(len(dims)) if a != wire)
     if other_axes:
         probs = probs.sum(axis=other_axes)
@@ -705,10 +833,9 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
         amps = simulate(circuit, measure=False)[0].amps
         # |psi|^2 and its CDF fill the two float halves of the spare buffer.
         spare = _buffer(amps.size)
-        probs = _born(amps, spare)
+        probs, total = _born(amps, spare)
         _keep(amps)
-        _divide(probs, probs.sum())  # the serial pairwise sum: tables pin its bits
-        index = _draw(probs, uniforms[:, 0], out=spare.view(float)[amps.size:])
+        index = _sample(probs, total, uniforms[:, 0], spare.view(float)[amps.size:])
         _keep(spare)
         digits = np.unravel_index(index, dims)
         for m in measurements:

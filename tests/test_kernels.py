@@ -239,17 +239,18 @@ def test_split_born_reset_and_draw_are_bit_identical(dims, seed, workers, block)
         simulator._keep(np.full(size, np.nan, dtype=complex))
         zero = simulator._evolve([], [iter(())], dims, None, MeasurementTable()).copy()
         copied = simulator._evolve([], [iter(())], dims, initial, MeasurementTable()).copy()
-        probs = simulator._born(initial.amps, np.full(size, np.nan, dtype=complex)).copy()
+        probs, total = simulator._born(initial.amps, np.full(size, np.nan, dtype=complex))
+        probs = probs.copy()
         index = simulator._draw(probs.copy(), uniforms)
         simulator.release_buffers()
-        return zero, copied, probs, index
+        return zero, copied, probs, index, total
 
     serial = passes()
     with pytest.MonkeyPatch.context() as mp:
         _split(mp, workers)
         mp.setattr(simulator, "BORN_BLOCK", block)
         split = passes()
-    for name, a, b in zip(("reset", "copy", "born", "draw"), serial, split):
+    for name, a, b in zip(("reset", "copy", "born", "draw", "total"), serial, split):
         assert np.array_equal(a, b), name
 
 
@@ -271,3 +272,118 @@ def test_split_simulate_and_run_are_bit_identical(monkeypatch):
     serial = results()
     _split(monkeypatch, 3)
     assert results() == serial
+
+
+# --- GEMMs in tiles under GEMM_MAX, diagonals on wire 0 ---
+
+
+def _gemm_sizes(mp, sizes):
+    """Record m*n*k of every np.matmul call as (m*n*k, k)."""
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        sizes.append((a.shape[-2] * a.shape[-1] * b.shape[-1], a.shape[-1]))
+        return matmul(a, b, *args, **kwargs)
+
+    mp.setattr(np, "matmul", spy)
+
+
+def _tiled(dims, matrix, wires, amps, budget, workers):
+    """The gate's output, planned and run with every pass split among
+    `workers` and GEMM_MAX = budget, and the sizes of its GEMMs."""
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "GEMM_MAX", budget)
+        _split(mp, workers)
+        kernel = plan_gate(dims, matrix, wires)
+        out = np.empty_like(amps)
+        _gemm_sizes(mp, sizes)
+        simulator._apply(kernel, amps.copy(), out)
+    return out, sizes
+
+
+def _check_tiled(dims, matrix, wires, seed, budget, workers):
+    amps = random_unit_amps(np.random.default_rng(seed), prod(dims))
+    one, sizes = _tiled(dims, matrix, wires, amps, budget, 1)
+    assert np.array_equal(_tiled(dims, matrix, wires, amps, budget, workers)[0], one)
+    np.testing.assert_allclose(one, _embed(matrix, wires, dims) @ amps, rtol=0, atol=TOL)
+    # Every GEMM stays under the budget, unless two rows (or columns) of the
+    # gate reach it, when it keeps one call.
+    assert sizes and all(mnk < budget or 2 * k * k >= budget for mnk, k in sizes), sizes
+    return sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gate=custom_gates().filter(lambda gate: gate[3] == DENSE),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(8, 4096),
+    workers=st.integers(2, 4),
+)
+def test_tiled_gemms_are_bit_identical(gate, seed, budget, workers):
+    dims, matrix, wires, _ = gate
+    _check_tiled(dims, matrix, wires, seed, budget, workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize(
+    "dims, wires, budget, expected",
+    [
+        # Folded GEMM of 35 rows of 2 at exactly its m*n*k: tiles of 33 rows
+        # (34 would leave one over) and a remainder tile of 2.
+        ((5, 7, 2), (2,), 140, [33 * 4, 2 * 4]),
+        ((5, 7, 2), (2,), 141, [140]),  # one under the budget: one call
+        # (L, D, R) matmul, D = 3, R = 24, at the budget: 22 and 2 columns a row.
+        ((3, 3, 24), (1,), 216, [9 * 22, 9 * 2]),
+        # 7 rows of 2, tiles of at most 2: the remainder is one row (m = 1).
+        ((7, 2), (1,), 12, [8, 4]),
+        # The permuted GEMM of one row (m = 1) of 6: too wide to tile.
+        ((3, 2), (1, 0), 20, [36]),
+    ],
+)
+def test_gemm_tiles_at_the_budget(dims, wires, budget, expected, workers):
+    side = prod(dims[w] for w in wires)
+    rng = np.random.default_rng(side)
+    matrix, _ = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    sizes = _check_tiled(dims, matrix, wires, 3, budget, workers)
+    assert sorted({mnk for mnk, _ in sizes}) == sorted(set(expected))
+
+
+def _recorded_slabs(mp, slabs):
+    """Record the slab sizes of every `_slabs` call, one list per call."""
+    split = simulator._slabs
+
+    def recorded(size, row, work):
+        sizes = []
+        slabs.append(sizes)
+        return split(size, row, lambda s: sizes.append(s.stop - s.start) or work(s))
+
+    mp.setattr(simulator, "_slabs", recorded)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize(
+    "dims, kind, wires", [((2,) * 20, "Z", (0,)), ((3,) * 13, "CZ", (0, 5)), ((3,) * 13, "CZ", (12, 0))]
+)
+def test_a_diagonal_on_wire_0_runs_on_every_worker(dims, kind, wires, workers):
+    assert prod(dims) >= simulator.SPLIT_MIN
+    spec = GateSpec(GateKind(kind), (dims[0],) * len(wires))
+    kernel = plan_gate(dims, resolve(spec), wires)
+    assert kernel.row == prod(dims)  # one row, which the kernel splits itself
+    amps = random_unit_amps(np.random.default_rng(len(wires)), prod(dims))
+
+    def result(n):
+        out, slabs = amps.copy(), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "WORKERS", n)
+            _recorded_slabs(mp, slabs)
+            simulator._apply(kernel, out, out)
+        return out, slabs
+
+    one, _ = result(1)
+    split, slabs = result(workers)
+    assert np.array_equal(split, one)
+    assert [len(sizes) for sizes in slabs] == [1, workers] and sum(slabs[1]) == prod(dims)
+    phases = np.diagonal(resolve(spec)).reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
+    phases = phases.reshape([dims[a] if a in wires else 1 for a in range(len(dims))])
+    np.testing.assert_allclose(one, (amps.reshape(dims) * phases).reshape(-1), rtol=0, atol=TOL)

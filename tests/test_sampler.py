@@ -3,7 +3,9 @@
 `_draw(p, u)` must return the index `default_rng(s).choice(len(p), p=p)`
 returns when `u` is the first uniform of stream `s`, for every stream. `run`
 must reproduce, table for table, the per-repetition `choice` sampler it
-replaced, on terminal and on mid-circuit measurement alike.
+replaced, on terminal and on mid-circuit measurement alike. Terminal
+sampling's two passes, `_born`'s total and `_sample`'s blocked draw, must
+equal `probs.sum()` and `_draw` bit for bit.
 """
 
 from math import prod
@@ -26,7 +28,8 @@ from quditsim import (
     run,
     simulate,
 )
-from quditsim.simulator import _draw
+from quditsim import simulator
+from quditsim.simulator import _born, _draw, _sample
 from conftest import random_mixed_circuit
 
 STREAMS = 500
@@ -179,3 +182,65 @@ def test_extend_keeps_key_order_and_repetitions():
     assert list(table.records) == ["b", "a"] and table.repetitions() == 4
     table.extend("b", 3, [])
     assert table.repetitions() == 4
+
+
+# --- terminal sampling in two passes ---
+
+
+def _amps_with_zero_runs(rng, size: int, block: int) -> np.ndarray:
+    """Random amplitudes with runs of zeros: one ending a block, one starting
+    the next, a whole block when there are three, and one at random."""
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if size > 8:
+        amps[block - 3:block] = 0
+        amps[block:block + 2] = 0
+        if size >= 3 * block:
+            amps[block:2 * block] = 0
+        start = int(rng.integers(size - 4))
+        amps[start:start + 4] = 0
+    return amps / np.linalg.norm(amps)
+
+
+def _sizes(block: int) -> list[int]:
+    return [1, 2, 7] + [k * block + offset for k in (1, 2, 5) for offset in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("block", [8, 64, simulator.BORN_BLOCK])
+def test_born_total_is_numpys_pairwise_sum(monkeypatch, block):
+    monkeypatch.setattr(simulator, "BORN_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for size in _sizes(block) + [1000, 3 * block + 129]:
+        amps = _amps_with_zero_runs(rng, size, block)
+        probs, total = _born(amps, np.empty(size, dtype=complex))
+        assert np.array_equal(probs, np.abs(amps) ** 2), size
+        assert total == probs.sum(), size
+
+
+@pytest.mark.parametrize("block", [8, 64, simulator.BORN_BLOCK])
+def test_blocked_draw_equals_draw_and_choice(monkeypatch, block):
+    monkeypatch.setattr(simulator, "BORN_BLOCK", block)
+    rng = np.random.default_rng(block + 1)
+    for size in _sizes(block):
+        amps = _amps_with_zero_runs(rng, size, block)
+        probs, total = _born(amps, np.empty(size, dtype=complex))
+        p = probs / total
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        steps = cdf[block - 1::block]  # every block's last CDF value, and values on zero runs
+        uniforms = np.concatenate([[0.0, 1 - 2**-53], steps[steps < 1], cdf[cdf < 1][:50], rng.random(200)])
+        expected = _draw(p.copy(), uniforms)
+        got = _sample(probs.copy(), total, uniforms, np.full(size, np.nan))
+        assert np.array_equal(got, expected), size
+        for seed in range(20):  # and numpy's own sampler, one stream at a time
+            u = np.random.default_rng(seed).random()
+            assert _sample(probs.copy(), total, [u], np.empty(size)) == np.random.default_rng(seed).choice(size, p=p)
+
+
+@pytest.mark.parametrize("size", [7, 8 * 5 + 1])
+def test_blocked_draw_refuses_a_nan_state(monkeypatch, size):
+    monkeypatch.setattr(simulator, "BORN_BLOCK", 8)
+    amps = np.full(size, size**-0.5, dtype=complex)
+    amps[3] = np.nan
+    probs, total = _born(amps, np.empty(size, dtype=complex))
+    with pytest.raises(ValueError, match="probabilities"):
+        _sample(probs, total, [0.5], np.empty(size))

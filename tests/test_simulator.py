@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 from math import prod
 
@@ -680,3 +681,46 @@ def test_a_forked_child_simulates_after_a_split_pass(monkeypatch):
         process.kill()
         process.join()
     assert process.exitcode == 0
+
+
+# --- BLAS's thread pool stays asleep ---
+
+
+def _split_sized_circuit() -> Circuit:
+    """SPLIT_MIN qubit amplitudes with dense gates whose whole GEMMs reach
+    GEMM_MAX: on wire 0, on middle wires, on the last wire (folded) and on
+    two non-adjacent wires (permuted); a diagonal on wire 0; every wire
+    measured at the end."""
+    n = 20
+    circuit = _register(n)
+    q = circuit.qudits
+    for w in (0, 3, 10, n - 1):
+        circuit.apply(single("H", 2), q[w])
+    circuit.apply(custom(_random_unitary(4), (2, 2)), q[n - 2], q[5])
+    circuit.apply(single("Z", 2), q[0])
+    for wire in q:
+        circuit.measure(wire)
+    return circuit
+
+
+def test_blas_never_threads_a_state_pass():
+    # After a call BLAS threads, OpenBLAS's pool spins for ~0.1 s: 0.10-0.14 s
+    # of CPU time over the sleep below on a 2-vCPU VM.
+    circuit = _split_sized_circuit()
+    assert prod(circuit.dims) == simulator.SPLIT_MIN
+    time.sleep(0.3)  # spin left by earlier tests
+    final, _ = simulate(circuit, measure=False)
+    run(circuit, 3, seed=1)
+    start = time.process_time()
+    time.sleep(0.2)
+    assert time.process_time() - start < 0.02
+    with pytest.MonkeyPatch.context() as mp:  # the same gates without tiles, as BLAS would thread them
+        mp.setattr(simulator, "GEMM_MAX", 1 << 62)
+        mp.setattr(simulator, "WORKERS", 1)
+        whole, _ = simulate(circuit, measure=False)
+    np.testing.assert_allclose(final.amps, whole.amps, rtol=0, atol=1e-12)
+
+
+def test_tiled_gemms_and_blocked_sampling_stay_in_two_state_buffers():
+    peak = _traced_peak(lambda: run(_split_sized_circuit(), 3, seed=1))
+    assert peak / (simulator.SPLIT_MIN * 16) <= 2.05
