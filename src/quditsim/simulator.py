@@ -595,16 +595,16 @@ def _born(amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, float]:
     leaves = []
     _pairwise(0, amps.size, lambda a, b: leaves.append((a, b)) or 0.0)
 
-    def work(s):
-        sums = {}
+    def work(s):  # the leaves that start in the slab
+        sums = []
         for a, b in leaves:
             if s.start <= a < s.stop:
                 np.square(np.abs(amps[a:b], out=probs[a:b]), out=probs[a:b])
-                sums[a] = probs[a:b].sum()
+                sums.append(probs[a:b].sum())
         return sums
 
-    sums = {a: x for part in _slabs(amps.size, 1, work) for a, x in part.items()}
-    return probs, _pairwise(0, amps.size, lambda a, b: sums[a])
+    sums = iter([x for part in _slabs(amps.size, 1, work) for x in part])
+    return probs, _pairwise(0, amps.size, lambda a, b: next(sums))
 
 
 def _sample(probs: np.ndarray, total: float, uniforms, scratch: np.ndarray) -> np.ndarray:
@@ -831,7 +831,8 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     table = MeasurementTable()
     if terminal:
         amps = simulate(circuit, measure=False)[0].amps
-        # |psi|^2 and its CDF fill the two float halves of the spare buffer.
+        # |psi|^2, then its CDF, fills the first float half of the spare
+        # buffer, and the sampler's scratch the second.
         spare = _buffer(amps.size)
         probs, total = _born(amps, spare)
         _keep(amps)
