@@ -13,6 +13,7 @@ entropy and echoed on stderr for reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import secrets
 import sys
 
@@ -38,6 +39,13 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _threshold_value(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"threshold must be finite, got {value}")
+    return value
+
+
 def _dims_value(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
@@ -51,7 +59,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="print the final state vector of a circuit file")
     p.add_argument("file")
-    p.add_argument("--threshold", type=float, default=1e-6,
+    p.add_argument("--threshold", type=_threshold_value, default=1e-6,
                    help="minimum amplitude magnitude to display")
     p.add_argument("--initial", help="starting basis state digits, e.g. 012 (or comma-separated)")
     p.add_argument("--seed", type=_seed_value, help="seed for any measurement sampling")

@@ -42,31 +42,33 @@ and, on a shared host, erratic. `apply_gate` runs the same plan into a
 fresh output buffer and never mutates its input.
 
 Every state pass whose result does not depend on the order of its work runs
-on all usable cores: `_slabs` splits it into contiguous slabs, the caller's
-thread running one and a short-lived thread each of the others. The split
-passes are the gate kernels, the reset to |0...0> or to `initial`, a
-collapse, `_born` (abs then square, one cache-sized block at a time),
-`StateVector`'s norm check and terminal sampling's divide. A gate never
-touches the wires before its first target, so a kernel's rows are
-independent; each gate is planned once and the same `GateKernel.apply` runs
-on any whole number of its rows. A kernel of one row splits its own work: a
-diagonal on wire 0 at digit prefixes, its phases sliced to match, and a
-tiled GEMM at whole tiles. Usable cores are `len(os.sched_getaffinity(0))`,
-else `os.cpu_count()`. A pass over fewer than SPLIT_MIN amplitudes starts no
+on all usable cores: `_slabs` cuts the pass's units, in order, into one
+contiguous slab per usable core, the caller's thread running one and a
+short-lived thread each of the others. The split passes are the gate
+kernels, the reset to |0...0> or to `initial`, a collapse, `_born` (abs then
+square, one cache-sized block at a time), `StateVector`'s norm check and
+terminal sampling's divide. Each names its own units: amplitudes, a
+collapse's rows, `_born`'s summation leaves. A gate's units are the tiles of
+one grid fixed when it is planned; `GateKernel.apply` computes any slice of
+them, and `_apply` alone splits a kernel. A gate never touches the wires
+before its first target, so a tile is a row of the wires from there on,
+unless the kernel makes its own grid: a diagonal on wire 0 tiles at digit
+prefixes, each with its slice of the phases, and a large GEMM at tiles under
+GEMM_MAX. Usable cores are `len(os.sched_getaffinity(0))`, else
+`os.cpu_count()`. A pass over fewer than SPLIT_MIN amplitudes starts no
 thread. The sums whose bits tables pin stay serial: the CDF's running sum
 and a collapse's marginal. The total terminal sampling divides by is
 numpy's pairwise `probs.sum()` bit for bit, its leaves summed by `_born`'s
-slabs. A slab computes on its amplitudes exactly what the whole pass
-computes there, so every state, probability and table is bit for bit the
-one-slab result, whatever the core count.
+slabs. A slab computes on its units exactly what the whole pass computes
+there, so every state, probability and table is bit for bit the one-slab
+result, whatever the core count.
 
 BLAS never threads a state pass. OpenBLAS wakes its thread pool for a GEMM
 of m*n*k >= GEMM_MAX, and the pool then spins for ~0.1 s, taking a core
 from the slabs that follow. So on a register of at least SPLIT_MIN
-amplitudes a larger GEMM runs as tiles under GEMM_MAX, in a grid fixed from
-the first amplitude, which `_slabs` cuts only at whole tiles: a tile's
-shape does not depend on the core count. The norm check sums squares with
-`einsum`, which does not call BLAS. Only a gate of 182 or more target
+amplitudes a larger GEMM runs as tiles under GEMM_MAX, in its tile grid: a
+tile's shape does not depend on the core count. The norm check sums squares
+with `einsum`, which does not call BLAS. Only a gate of 182 or more target
 states, where two rows of its GEMM already reach GEMM_MAX, is left to BLAS.
 
 Randomness is driven by numpy's SeedSequence/PCG64. Repetition i of `run`
@@ -188,17 +190,15 @@ def release_buffers() -> None:
         _kept.clear()
 
 
-def _slabs(size: int, row: int, work: Callable[[slice], object]) -> list:
-    """`work`'s results on contiguous slices that cover range(size), in order,
-    each a whole number of rows of `row` amplitudes but the last, which also
-    takes any part row left over: one slice per worker, the caller's thread
-    taking the first, when size >= SPLIT_MIN; else one slice. An exception in
-    any slab is raised here once every slab ended."""
-    rows = size // row
-    slabs = min(WORKERS, rows) if size >= SPLIT_MIN else 1
+def _slabs(size: int, units: int, work: Callable[[slice], object]) -> list:
+    """`work`'s results on contiguous slices that cover range(units), in
+    order: one slice per worker, the caller's thread taking the first, when
+    the pass touches size >= SPLIT_MIN amplitudes; else one slice. An
+    exception in any slab is raised here once every slab ended."""
+    slabs = min(WORKERS, units) if size >= SPLIT_MIN else 1
     if slabs <= 1:
-        return [work(slice(0, size))]
-    cuts = [rows * i // slabs * row for i in range(slabs)] + [size]
+        return [work(slice(0, units))]
+    cuts = [units * i // slabs for i in range(slabs + 1)]
     results, errors, started = [None] * slabs, [], []
 
     def run_slab(i):
@@ -239,7 +239,7 @@ class StateVector:
         # Only the tolerance test reads the norm: squares of the float view,
         # summed in slabs by einsum, which does not call BLAS.
         x = amps.view(float)
-        norm = np.sqrt(sum(_slabs(x.size, 1, lambda s: np.einsum("i,i->", x[s], x[s]))))
+        norm = np.sqrt(sum(_slabs(x.size, x.size, lambda s: np.einsum("i,i->", x[s], x[s]))))
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amps", amps)
@@ -307,28 +307,27 @@ def basis_state(dims, digits) -> StateVector:
     return StateVector(dims, amps)
 
 
-Kernel = Callable[[np.ndarray, np.ndarray], None]
+Kernel = Callable[[np.ndarray, np.ndarray, slice], None]
 
 
 @dataclass(frozen=True)
 class GateKernel:
-    """A gate planned for one register. `apply(src, dst)` writes the gate's
-    action on the flat amplitudes `src` into `dst`, a buffer of the same
-    size; `kind` is DIAGONAL, PERMUTATION or DENSE. `src` may also be any
-    whole number of the `row`-amplitude rows the gate maps independently,
-    with `dst` the same rows of the output; a kernel of one row may split its
-    own work with `_slabs`. Only a DIAGONAL kernel, which is elementwise, may
-    be given `dst is src`. Only a DENSE kernel on targets not adjacent and
-    ascending overwrites `src`, its scratch."""
+    """A gate planned for one register. Its work is a grid of `tiles`
+    independent tiles, fixed at planning; `apply(src, dst, s)` writes the
+    gate's action on the flat amplitudes `src` into `dst`, a buffer of the
+    same size, for the tiles in the slice `s`, and no others. `kind` is
+    DIAGONAL, PERMUTATION or DENSE. Only a DIAGONAL kernel, which is
+    elementwise, may be given `dst is src`. Only a DENSE kernel on targets not
+    adjacent and ascending overwrites `src`, its scratch; it is one tile."""
 
     kind: str
     apply: Kernel
-    row: int
+    tiles: int
 
 
 def _apply(kernel: GateKernel, src: np.ndarray, dst: np.ndarray) -> None:
-    """Run a planned gate from `src` into `dst`, split into row slabs."""
-    _slabs(src.size, kernel.row, lambda s: kernel.apply(src[s], dst[s]))
+    """Run a planned gate from `src` into `dst`, its tiles split into slabs."""
+    _slabs(src.size, kernel.tiles, lambda s: kernel.apply(src, dst, s))
 
 
 def _structure(matrix: np.ndarray) -> tuple[str, object]:
@@ -364,9 +363,9 @@ def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> GateKernel:
     wires before it, at the first of those. On a register of at least
     SPLIT_MIN amplitudes the phases are spelled out over numpy's ufunc
     buffer size: a shorter broadcast inner loop takes the buffered iterator.
-    There a kernel of one row, a diagonal on wire 0, runs as one multiply per
-    digit prefix of its first wires (at least PREFIXES of them), each with
-    its slice of the phases, so `_slabs` can cut it at any prefix."""
+    There a diagonal on wire 0 tiles at the digit prefixes of its first wires
+    (at least PREFIXES of them), each multiplied by its slice of the phases;
+    any other diagonal tiles at rows."""
     n = len(dims)
     tensor = diagonal.reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
     tensor = tensor.reshape([dims[a] if a in wires else 1 for a in range(n)])
@@ -379,26 +378,23 @@ def _diagonal_kernel(dims, diagonal: np.ndarray, wires) -> GateKernel:
     phase = np.broadcast_to(tensor, tensor.shape[:split] + dims[split:]).reshape(tensor.shape[lead:split] + (-1,))
     if lead == 0 < split and prod(dims) >= SPLIT_MIN:
         cut = next(c for c in range(1, split + 1) if c == split or prod(dims[:c]) >= PREFIXES)
-        shape, block = dims[cut:split] + (-1,), prod(dims[cut:])
         parts = [  # the phases of each prefix: its digits on targeted axes, 0 on the others
             phase[tuple(digit if size > 1 else 0 for digit, size in zip(digits, phase.shape))]
             for digits in np.ndindex(dims[:cut])
         ]
+        view = (-1,) + dims[cut:split] + (prod(dims[split:]),)
 
-        def apply(src, dst):
-            def work(s):
-                for p in range(s.start // block, s.stop // block):
-                    at = slice(p * block, (p + 1) * block)
-                    np.multiply(src[at].reshape(shape), parts[p], out=dst[at].reshape(shape))
+        def apply(src, dst, s):
+            a, b = src.reshape(view), dst.reshape(view)
+            for p in range(s.start, s.stop):
+                np.multiply(a[p], parts[p], out=b[p])
 
-            _slabs(src.size, block, work)
+        return GateKernel(DIAGONAL, apply, len(parts))
 
-        return GateKernel(DIAGONAL, apply, prod(dims))
+    def apply(src, dst, s):
+        np.multiply(src.reshape(view)[s], phase, out=dst.reshape(view)[s])
 
-    def apply(src, dst):
-        np.multiply(src.reshape(view), phase, out=dst.reshape(view))
-
-    return GateKernel(DIAGONAL, apply, prod(dims[lead:]))
+    return GateKernel(DIAGONAL, apply, prod(dims[:lead]))
 
 
 def _at_digits(axes: int, wires, digits) -> tuple:
@@ -415,7 +411,7 @@ def _permutation_kernel(dims, rows: np.ndarray, phases: np.ndarray, wires) -> Ga
     """Send each target basis state `col` to its image `rows[col]`, times
     `phases[col]`: one gather over the trailing block that holds every
     target when that block is small, else one strided slice copy per target
-    basis state. A row is that trailing block."""
+    basis state. A tile is a row, that trailing block."""
     target_dims = tuple(dims[w] for w in wires)
     first = min(wires)
     block = prod(dims[first:])
@@ -429,15 +425,15 @@ def _permutation_kernel(dims, rows: np.ndarray, phases: np.ndarray, wires) -> Ga
         phase = None if (phases == 1).all() else phases[preimage]
         view = (-1, block)
 
-        def apply(src, dst):
-            out = dst.reshape(view)
+        def apply(src, dst, s):
+            out = dst.reshape(view)[s]
             # mode="wrap" (indices are in range anyway): the default "raise"
             # buffers `out`, a hidden full-state copy.
-            np.take(src.reshape(view), source, axis=1, out=out, mode="wrap")
+            np.take(src.reshape(view)[s], source, axis=1, out=out, mode="wrap")
             if phase is not None:
                 np.multiply(out, phase, out=out)
 
-        return GateKernel(PERMUTATION, apply, block)
+        return GateKernel(PERMUTATION, apply, prod(dims[:first]))
 
     view = (-1,) + dims[first:]
     axes = [w - first + 1 for w in wires]
@@ -450,15 +446,15 @@ def _permutation_kernel(dims, rows: np.ndarray, phases: np.ndarray, wires) -> Ga
         for col, row in enumerate(rows)
     ]
 
-    def apply(src, dst):
-        psi, out = src.reshape(view), dst.reshape(view)
+    def apply(src, dst, s):
+        psi, out = src.reshape(view)[s], dst.reshape(view)[s]
         for to, frm, phase in moves:
             if phase == 1:
                 out[to] = psi[frm]
             else:
                 np.multiply(psi[frm], phase, out=out[to])
 
-    return GateKernel(PERMUTATION, apply, block)
+    return GateKernel(PERMUTATION, apply, prod(dims[:first]))
 
 
 def _ascending_run(wires) -> bool:
@@ -474,71 +470,71 @@ def _tile(count: int, cost: int) -> int:
     return next((t for t in range(most, 1, -1) if count % t != 1), most)
 
 
-def _gemm(src: np.ndarray, matrix: np.ndarray, dst: np.ndarray) -> None:
-    """dst = src @ matrix on rows of len(matrix) amplitudes. On a register of
-    at least SPLIT_MIN amplitudes a GEMM of m*n*k >= GEMM_MAX runs as tiles
-    of `_tile` rows from the first amplitude, split at whole tiles, the last
-    slab taking the part tile left over."""
+def _gemm(size: int, matrix: np.ndarray) -> GateKernel:
+    """The kernel of dst = src @ matrix on the `size` amplitudes of `src`, in
+    rows of len(matrix). On a register of at least SPLIT_MIN amplitudes a
+    GEMM of m*n*k >= GEMM_MAX tiles at `_tile` rows from the first amplitude,
+    the last tile taking the part left over; else it is one tile."""
     k = len(matrix)
-    rows = src.size // k
-    if src.size < SPLIT_MIN or rows * k * k < GEMM_MAX or (tile := _tile(rows, k * k)) < 2:
-        np.matmul(src.reshape(-1, k), matrix, out=dst.reshape(-1, k))
-        return
+    rows = size // k
+    tile = rows
+    if size >= SPLIT_MIN and rows * k * k >= GEMM_MAX and (most := _tile(rows, k * k)) >= 2:
+        tile = most
+    full = rows // tile  # whole tiles; a part tile follows when tile does not divide rows
 
-    def work(s):
-        end = s.stop - (s.stop - s.start) % (tile * k)
-        np.matmul(src[s.start:end].reshape(-1, tile, k), matrix, out=dst[s.start:end].reshape(-1, tile, k))
-        if end < s.stop:
-            np.matmul(src[end:s.stop].reshape(-1, k), matrix, out=dst[end:s.stop].reshape(-1, k))
+    def apply(src, dst, s):
+        a, b = src.reshape(-1, k), dst.reshape(-1, k)
+        if s.start < (end := min(s.stop, full)):
+            at = slice(s.start * tile, end * tile)
+            np.matmul(a[at].reshape(-1, tile, k), matrix, out=b[at].reshape(-1, tile, k))
+        if s.stop > full:
+            np.matmul(a[full * tile:], matrix, out=b[full * tile:])
 
-    _slabs(src.size, tile * k, work)
+    return GateKernel(DENSE, apply, -(-rows // tile))
 
 
 def _dense_kernel(dims, matrix: np.ndarray, wires) -> GateKernel:
-    """The module docstring's three dense paths; the permuted one runs its
-    GEMM from `dst` back into `src`. The (L, D, R) matmul on rows whose GEMM
-    stays under GEMM_MAX is split into row slabs; on a register of at least
-    SPLIT_MIN amplitudes a larger one runs as (D, D) @ (D, C) tiles, C
-    columns of one row at a time, and the folded and permuted GEMMs as row
-    tiles (`_gemm`)."""
+    """The module docstring's three dense paths. The permuted one is one
+    tile: its copies, then `_apply` of its GEMM from `dst` back into `src`.
+    The folded GEMM is `_gemm`'s kernel. The (L, D, R) matmul on rows of at
+    most GATHER_MAX amplitudes tiles at rows; on a register of at least
+    SPLIT_MIN amplitudes one whose GEMM reaches GEMM_MAX tiles at (D, D) @
+    (D, C) products, C columns of one row each."""
     whole = prod(dims)
     if not _ascending_run(wires):
         order = [a for a in range(len(dims)) if a not in wires] + list(wires)
         moved, inverse = tuple(dims[a] for a in order), tuple(np.argsort(order))
-        gate_t = np.ascontiguousarray(matrix.T)
+        gemm = _gemm(whole, np.ascontiguousarray(matrix.T))
 
-        def apply(src, dst):
+        def apply(src, dst, s):
             np.copyto(dst.reshape(moved), src.reshape(dims).transpose(order))
-            _gemm(dst, gate_t, src)
+            _apply(gemm, dst, src)
             np.copyto(dst.reshape(dims), src.reshape(moved).transpose(inverse))
 
-        return GateKernel(DENSE, apply, whole)
+        return GateKernel(DENSE, apply, 1)
     row = prod(dims[wires[0]:])
     if row <= FOLD_MAX:
-        folded = np.ascontiguousarray(np.kron(matrix, np.eye(row // len(matrix))).T)
-        return GateKernel(DENSE, lambda src, dst: _gemm(src, folded, dst), whole)
+        return _gemm(whole, np.ascontiguousarray(np.kron(matrix, np.eye(row // len(matrix))).T))
     d, right = len(matrix), row // len(matrix)
     view = (-1, d, right)
     if whole >= SPLIT_MIN and d * d * right >= GEMM_MAX and (cols := _tile(right, d * d)) >= 2:
-        per_row, tile = -(-right // cols), d * cols
+        per_row = -(-right // cols)
 
-        def apply(src, dst):
+        def apply(src, dst, s):
             a, b = src.reshape(view), dst.reshape(view)
+            for t in range(s.start, s.stop):
+                r, j = divmod(t, per_row)
+                c = slice(j * cols, (j + 1) * cols)
+                np.matmul(matrix, a[r, :, c], out=b[r, :, c])
 
-            def work(s):
-                for t in range(s.start // tile, s.stop // tile):
-                    r, j = divmod(t, per_row)
-                    c = slice(j * cols, (j + 1) * cols)
-                    np.matmul(matrix, a[r, :, c], out=b[r, :, c])
+        return GateKernel(DENSE, apply, whole // row * per_row)
+    tiles = whole // row if row <= GATHER_MAX else 1
 
-            _slabs(len(a) * per_row * tile, tile, work)  # every tile counted as D*C amplitudes
+    def apply(src, dst, s):
+        a, b = src.reshape(tiles, -1)[s], dst.reshape(tiles, -1)[s]
+        np.matmul(matrix, a.reshape(view), out=b.reshape(view))
 
-        return GateKernel(DENSE, apply, whole)
-
-    def apply(src, dst):
-        np.matmul(matrix, src.reshape(view), out=dst.reshape(view))
-
-    return GateKernel(DENSE, apply, row if row <= GATHER_MAX else whole)
+    return GateKernel(DENSE, apply, tiles)
 
 
 def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
@@ -595,15 +591,12 @@ def _born(amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, float]:
     leaves = []
     _pairwise(0, amps.size, lambda a, b: leaves.append((a, b)) or 0.0)
 
-    def work(s):  # the leaves that start in the slab
-        sums = []
-        for a, b in leaves:
-            if s.start <= a < s.stop:
-                np.square(np.abs(amps[a:b], out=probs[a:b]), out=probs[a:b])
-                sums.append(probs[a:b].sum())
-        return sums
+    def leaf(a, b):
+        np.square(np.abs(amps[a:b], out=probs[a:b]), out=probs[a:b])
+        return probs[a:b].sum()
 
-    sums = iter([x for part in _slabs(amps.size, 1, work) for x in part])
+    parts = _slabs(amps.size, len(leaves), lambda s: [leaf(a, b) for a, b in leaves[s]])
+    sums = iter([x for part in parts for x in part])
     return probs, _pairwise(0, amps.size, lambda a, b: next(sums))
 
 
@@ -620,7 +613,7 @@ def _sample(probs: np.ndarray, total: float, uniforms, scratch: np.ndarray) -> n
         return _draw(probs, uniforms, out=scratch)
     if not 0 < total < np.inf:  # |psi|^2 >= 0, and a finite positive total sums p to 1
         raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
-    _slabs(probs.size, 1, lambda s: np.divide(probs[s], total, out=probs[s]))
+    _slabs(probs.size, probs.size, lambda s: np.divide(probs[s], total, out=probs[s]))
     cdf = np.cumsum(probs, out=probs)
     # The last value of every block but the last, normalised, after one block of room.
     ends = cdf[BORN_BLOCK - 1:-1:BORN_BLOCK]
@@ -649,11 +642,11 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: f
     view, scale = (-1, dims[wire], prod(dims[wire + 1:])), np.sqrt(probs[digit])
 
     def collapse(s):
-        out = dst[s].reshape(view)
+        out = dst.reshape(view)[s]
         out.fill(0)
-        np.divide(src[s].reshape(view)[:, digit], scale, out=out[:, digit])
+        np.divide(src.reshape(view)[s, digit], scale, out=out[:, digit])
 
-    _slabs(dst.size, prod(dims[wire:]), collapse)
+    _slabs(dst.size, prod(dims[:wire]), collapse)
     return digit
 
 
@@ -747,10 +740,10 @@ def _evolve(
     src, dst = _buffer(prod(dims)), _buffer(prod(dims))
     for uniforms in repetitions:
         if initial is None:
-            _slabs(src.size, 1, lambda s: src[s].fill(0))
+            _slabs(src.size, src.size, lambda s: src[s].fill(0))
             src[0] = 1.0
         else:
-            _slabs(src.size, 1, lambda s: np.copyto(src[s], initial.amps[s]))
+            _slabs(src.size, src.size, lambda s: np.copyto(src[s], initial.amps[s]))
         for step in steps:
             if isinstance(step, GateKernel):
                 if step.kind == DIAGONAL:

@@ -29,6 +29,13 @@ def test_simulate_threshold_flag(capsys):
     assert capsys.readouterr().out == "Final state vector:\n"
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_exits_one(threshold, capsys):
+    assert cli(["simulate", str(CIRCUITS / "ghz3_nomeasure.qdc"), f"--threshold={threshold}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--threshold" in captured.err
+
+
 def test_simulate_initial_flag(capsys):
     # Starting from |100> the staircase still lands on the diagonal kets but
     # with Fourier phases on |111> and |222>.

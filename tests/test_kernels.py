@@ -8,8 +8,10 @@ Each property also runs with the size thresholds forced to their other
 side, so the slice permutation, the (L, D, R) matmul and the per-axis
 diagonal broadcast are exercised on small registers too.
 
-Every pass split into row slabs, forced on small registers by a zero split
-threshold and 1-4 workers, must give the bits the one-slab pass gives.
+Every pass split into slabs, forced on small registers by a zero split
+threshold and 1-4 workers, must give the bits the one-slab pass gives, and a
+kernel computed over any contiguous partition of its tiles the bits of one
+call over every tile.
 """
 
 from math import prod
@@ -156,49 +158,80 @@ def _split(mp, workers):
     mp.setattr(simulator, "WORKERS", workers)
 
 
-def _check_split(variant, gate, seed, workers):
+def _run_tiles(kernel, amps, slices):
+    """The kernel's output on a copy of `amps`, its tiles computed one slice
+    at a time; a diagonal runs in place, as `_evolve` runs it. Any other
+    output starts as NaN, so an amplitude no tile wrote compares unequal."""
+    src = amps.copy()
+    out = src if kernel.kind == DIAGONAL else np.full_like(amps, np.nan)
+    for s in slices:
+        kernel.apply(src, out, s)
+    return out
+
+
+# Where to cut a kernel's tiles, as fractions of their count.
+CUTS = st.lists(st.floats(0, 1), max_size=6)
+
+
+def _partition(tiles, cuts):
+    """Contiguous slices that cover range(tiles), cut at the given fractions."""
+    points = sorted({0, tiles, *(int(c * tiles) for c in cuts)})
+    return [slice(a, b) for a, b in zip(points, points[1:])]
+
+
+def _check_split(variant, gate, seed, workers, cuts=(1 / 3, 2 / 3)):
     dims, matrix, wires, _ = gate
     amps = random_unit_amps(np.random.default_rng(seed), prod(dims))
     with pytest.MonkeyPatch.context() as mp:
         for name, value in zip(("FOLD_MAX", "GATHER_MAX", "MIN_INNER"), VARIANTS[variant]):
             mp.setattr(simulator, name, value)
         kernel = plan_gate(dims, matrix, wires)
-        # Only the (L, D, R) matmul on small rows splits among dense kernels.
+        # Only the (L, D, R) matmul on small rows tiles at rows among dense kernels.
         row = prod(dims[min(wires):])
         dense_whole = kernel.kind == DENSE and not (
             simulator._ascending_run(wires) and simulator.FOLD_MAX < row <= simulator.GATHER_MAX
         )
-        whole = np.empty_like(amps)
-        kernel.apply(amps.copy(), whole)
+        whole = _run_tiles(kernel, amps, [slice(0, kernel.tiles)])
         slabs = []
 
-        def spy(src, dst):
-            slabs.append(src.size)
-            kernel.apply(src, dst)
+        def spy(src, dst, s):
+            slabs.append(s)
+            kernel.apply(src, dst, s)
 
         _split(mp, workers)
         src = amps.copy()
-        out = src if kernel.kind == DIAGONAL else np.empty_like(amps)  # in place, as `_evolve` runs it
-        simulator._apply(GateKernel(kernel.kind, spy, kernel.row), src, out)
+        out = src if kernel.kind == DIAGONAL else np.full_like(amps, np.nan)
+        simulator._apply(GateKernel(kernel.kind, spy, kernel.tiles), src, out)
+        # Planned with every pass split and a small GEMM budget, a diagonal on
+        # wire 0 tiles at digit prefixes and a large GEMM at row or column tiles.
+        mp.setattr(simulator, "GEMM_MAX", 128)
+        tiled = plan_gate(dims, matrix, wires)
+        tiled_whole = _run_tiles(tiled, amps, [slice(0, tiled.tiles)])
+        tiled_cut = _run_tiles(tiled, amps, _partition(tiled.tiles, cuts))
     assert np.array_equal(out, whole), kernel.kind
-    assert len(slabs) == min(workers, amps.size // kernel.row)
-    assert all(size % kernel.row == 0 for size in slabs) and sum(slabs) == amps.size
+    # A tile is a whole number of rows; the slabs cover the tiles in order.
+    assert prod(dims) % kernel.tiles == 0 and (prod(dims) // kernel.tiles) % row == 0
+    slabs.sort(key=lambda s: s.start)
+    assert len(slabs) == min(workers, kernel.tiles)
+    assert [s.start for s in slabs] == [0] + [s.stop for s in slabs[:-1]] and slabs[-1].stop == kernel.tiles
     if dense_whole or min(wires) == 0:
-        assert slabs == [amps.size]
+        assert kernel.tiles == 1
+    assert np.array_equal(tiled_cut, tiled_whole), tiled.kind
+    np.testing.assert_allclose(tiled_whole, whole, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=100, deadline=None)
-@given(gate=builtin_gates(), seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 4))
-def test_split_builtin_kernels_are_bit_identical(variant, gate, seed, workers):
-    _check_split(variant, gate, seed, workers)
+@given(gate=builtin_gates(), seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 4), cuts=CUTS)
+def test_split_builtin_kernels_are_bit_identical(variant, gate, seed, workers, cuts):
+    _check_split(variant, gate, seed, workers, cuts)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @settings(max_examples=100, deadline=None)
-@given(gate=custom_gates(), seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 4))
-def test_split_custom_kernels_are_bit_identical(variant, gate, seed, workers):
-    _check_split(variant, gate, seed, workers)
+@given(gate=custom_gates(), seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 4), cuts=CUTS)
+def test_split_custom_kernels_are_bit_identical(variant, gate, seed, workers, cuts):
+    _check_split(variant, gate, seed, workers, cuts)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -350,40 +383,56 @@ def test_gemm_tiles_at_the_budget(dims, wires, budget, expected, workers):
 
 
 def _recorded_slabs(mp, slabs):
-    """Record the slab sizes of every `_slabs` call, one list per call."""
+    """Record the slab sizes, in units, of every `_slabs` call, one list per call."""
     split = simulator._slabs
 
-    def recorded(size, row, work):
+    def recorded(size, units, work):
         sizes = []
         slabs.append(sizes)
-        return split(size, row, lambda s: sizes.append(s.stop - s.start) or work(s))
+        return split(size, units, lambda s: sizes.append(s.stop - s.start) or work(s))
 
     mp.setattr(simulator, "_slabs", recorded)
 
 
+def _reference(dims, matrix, wires, amps):
+    """The gate applied to amps by contracting its tensor with theirs."""
+    k = len(wires)
+    gate = matrix.reshape([dims[w] for w in wires] * 2)
+    out = np.tensordot(gate, amps.reshape(dims), axes=(list(range(k, 2 * k)), list(wires)))
+    return np.moveaxis(out, list(range(k)), list(wires)).reshape(-1)
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4])
 @pytest.mark.parametrize(
-    "dims, kind, wires", [((2,) * 20, "Z", (0,)), ((3,) * 13, "CZ", (0, 5)), ((3,) * 13, "CZ", (12, 0))]
+    "dims, kind, wires",
+    [
+        ((2,) * 20, "Z", (0,)),
+        ((3,) * 13, "CZ", (0, 5)),
+        ((3,) * 13, "CZ", (12, 0)),
+        ((3,) * 13, "H", (0,)),  # (L, D, R) matmul in column tiles
+        ((2,) * 20, "H", (19,)),  # folded GEMM in row tiles
+    ],
 )
 def test_a_diagonal_on_wire_0_runs_on_every_worker(dims, kind, wires, workers):
     assert prod(dims) >= simulator.SPLIT_MIN
-    spec = GateSpec(GateKind(kind), (dims[0],) * len(wires))
-    kernel = plan_gate(dims, resolve(spec), wires)
-    assert kernel.row == prod(dims)  # one row, which the kernel splits itself
+    matrix = resolve(GateSpec(GateKind(kind), (dims[wires[0]],) * len(wires)))
+    kernel = plan_gate(dims, matrix, wires)
+    # Not rows, which are the whole state or, folded, too small to split:
+    # the kernel's tiles are a grid of its own, enough for every worker.
+    assert kernel.tiles != prod(dims[:min(wires)]) and kernel.tiles >= 4
     amps = random_unit_amps(np.random.default_rng(len(wires)), prod(dims))
 
     def result(n):
-        out, slabs = amps.copy(), []
+        src, slabs = amps.copy(), []
+        out = src if kernel.kind == DIAGONAL else np.empty_like(src)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "WORKERS", n)
             _recorded_slabs(mp, slabs)
-            simulator._apply(kernel, out, out)
+            simulator._apply(kernel, src, out)
         return out, slabs
 
     one, _ = result(1)
     split, slabs = result(workers)
     assert np.array_equal(split, one)
-    assert [len(sizes) for sizes in slabs] == [1, workers] and sum(slabs[1]) == prod(dims)
-    phases = np.diagonal(resolve(spec)).reshape([dims[w] for w in wires]).transpose(np.argsort(wires))
-    phases = phases.reshape([dims[a] if a in wires else 1 for a in range(len(dims))])
-    np.testing.assert_allclose(one, (amps.reshape(dims) * phases).reshape(-1), rtol=0, atol=TOL)
+    assert [len(sizes) for sizes in slabs] == [workers] and sum(slabs[0]) == kernel.tiles
+    np.testing.assert_allclose(one, _reference(dims, matrix, wires, amps), rtol=0, atol=TOL)

@@ -507,8 +507,8 @@ def test_a_last_wire_diagonal_on_a_large_register_is_unbuffered():
     assert peak < 32 << 10
     np.testing.assert_allclose(amps, 1, rtol=0, atol=1e-12)  # Z twice
     # Small registers keep MIN_INNER: Z on the last of 44100 amplitudes spells
-    # its phases out over the last three wires' 1260.
-    assert simulator.plan_gate((7, 5, 3, 2) * 2, resolve(single("Z", 2)), (7,)).row == 1260
+    # its phases out over the last three wires' 1260, so it tiles at rows of 1260.
+    assert simulator.plan_gate((7, 5, 3, 2) * 2, resolve(single("Z", 2)), (7,)).tiles == 44100 // 1260
 
 
 def test_mid_circuit_run_shares_one_plan_between_identical_gate_ops():
@@ -637,19 +637,19 @@ def test_an_exception_in_a_worker_slab_is_raised_in_the_caller(monkeypatch):
     def failing_plan(dims, kind, data, wires):
         kernel = plan(dims, kind, data, wires)
 
-        def apply(src, dst):
+        def apply(src, dst, s):
             if threading.current_thread() is not threading.main_thread():
                 raise SlabError("worker slab")
-            kernel.apply(src, dst)
+            kernel.apply(src, dst, s)
 
-        return simulator.GateKernel(kernel.kind, apply, kernel.row)
+        return simulator.GateKernel(kernel.kind, apply, kernel.tiles)
 
     # The GHZ staircase fuses into one whole-state kernel; X on the last
-    # wire is a kernel of 27 rows, which the worker slab takes some of.
+    # wire is a kernel of 27 tiles, which the worker slab takes some of.
     circuit = ghz_circuit(4, 3)
     circuit.apply(single("H", 3), circuit.qudits[0])
     circuit.apply(single("X", 3), circuit.qudits[3])
-    assert min(step.row for step in simulator._plan(circuit)) < prod(circuit.dims)
+    assert max(step.tiles for step in simulator._plan(circuit)) > 1
     expected, _ = simulate(circuit)
     monkeypatch.setattr(simulator, "SPLIT_MIN", 0)
     monkeypatch.setattr(simulator, "WORKERS", 2)
