@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from quditsim import (
     full_unitary,
     ghz_circuit,
     h_matrix,
+    parse_circuit,
     run,
     simulate,
     single,
@@ -30,6 +32,9 @@ from quditsim import (
     x_matrix,
 )
 from conftest import random_mixed_circuit, random_unit_amps
+
+CIRCUITS = Path(__file__).parent.parent / "circuits"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- basis states ---
@@ -214,6 +219,24 @@ def test_measured_state_collapses_to_observed_digit():
     expected[digit] = final.amps[digit]
     np.testing.assert_allclose(final.amps, expected, atol=1e-12)
     assert abs(abs(final.amps[digit]) - 1.0) <= 1e-10
+
+
+def test_simulate_matches_golden_records():
+    # Pinned before terminal and mid-circuit measurement shared one sampler:
+    # line s holds the records of seed s.
+    circuit = parse_circuit((CIRCUITS / "midcircuit.qdc").read_text(encoding="utf-8"))[0]
+    lines = "".join(" ".join(simulate(circuit, seed=s)[1].lines()) + "\n" for s in range(200))
+    assert lines == (GOLDEN / "simulate_midcircuit_seeds0-199.txt").read_text(encoding="utf-8")
+
+
+def test_simulate_takes_one_uniform_per_measurement_from_a_generator():
+    circuit = parse_circuit((CIRCUITS / "midcircuit.qdc").read_text(encoding="utf-8"))[0]  # 4 measurements
+    rng, expected = np.random.default_rng(3), np.random.default_rng(3)
+    simulate(circuit, seed=rng)
+    expected.random(4)
+    assert rng.random() == expected.random()
+    simulate(circuit, seed=rng, measure=False)
+    assert rng.random() == expected.random()
 
 
 def test_simulate_without_measuring_skips_every_measurement():
