@@ -46,7 +46,7 @@ class BenchConfig:
             raise ValueError(f"dims must be a non-empty list of values >= 2, got {self.dims}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.budget_per_run <= 0:
+        if not self.budget_per_run > 0:  # NaN fails this too
             raise ValueError(f"budget must be positive, got {self.budget_per_run}")
         if self.max_qudits < 1:
             raise ValueError(f"max_qudits must be >= 1, got {self.max_qudits}")

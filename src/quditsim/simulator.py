@@ -80,11 +80,15 @@ every stream in one vectorized pass, equal to numpy's bit for bit, and
 builds no SeedSequence or Generator per repetition. NumPy's stream
 compatibility policy (NEP 19) keeps that arithmetic, and so every pinned
 table, stable across numpy versions. Every sample is drawn by one exact
-sampler, `_draw`, which does what `Generator.choice(len(p), p=p)` does, bit
-for bit, with one CDF per distribution and one `searchsorted`. On a register
-of more than BORN_BLOCK amplitudes terminal sampling (`_sample`) builds that
-CDF in place over |psi|^2 and normalises and searches only the blocks its
-uniforms fall in: two passes over the state after `_born`.
+sampler, `_sample`, which does what `Generator.choice(len(p), p=p)` does,
+bit for bit, with one CDF per distribution and one `searchsorted`: terminal
+sampling over |psi|^2, a collapse over its wire's marginal. On a register of
+more than BORN_BLOCK amplitudes it builds that CDF in place over |psi|^2 and
+normalises and searches only the blocks its uniforms fall in: two passes
+over the state after `_born`. `_evolve` takes a (repetitions x measurements)
+matrix of uniforms and returns the digits in one of that shape, so
+`simulate`, its one-repetition case, and both paths of `run` write the table
+a whole column at a time.
 """
 
 from __future__ import annotations
@@ -92,7 +96,6 @@ from __future__ import annotations
 import os
 import secrets
 import threading
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from math import prod
 from typing import Callable
@@ -146,10 +149,6 @@ BORN_BLOCK = 1 << 16
 GEMM_MAX = 1 << 16
 # numpy's pairwise summation adds runs of at most this many values serially.
 PAIRWISE_LEAF = 128
-
-
-# Generator.choice's tolerance on the sum of its probabilities.
-PROBABILITY_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _check_fits(dims, buffers: int) -> None:
@@ -260,10 +259,6 @@ class MeasurementTable:
 
     records: dict[str, list[int]] = field(default_factory=dict)
     key_dims: dict[str, int] = field(default_factory=dict)
-
-    def add(self, key: str, dim: int, digit: int) -> None:
-        self.records.setdefault(key, []).append(digit)
-        self.key_dims[key] = dim
 
     def extend(self, key: str, dim: int, digits) -> None:
         """Append one digit per repetition to a key's column in one call."""
@@ -557,20 +552,6 @@ def apply_gate(state: StateVector, matrix: np.ndarray, wires) -> StateVector:
     return StateVector(state.dims, out)
 
 
-def _draw(probs: np.ndarray, uniforms, out: np.ndarray | None = None):
-    """Indices drawn from the distribution `probs` by the given uniforms in
-    [0, 1), exactly as `Generator.choice(len(probs), p=probs)` draws from
-    the uniform it takes from its stream. The checks on `probs` are
-    choice's, made once per distribution however many uniforms there are.
-    The CDF is built in `out` when given, a float array of len(probs)."""
-    total = probs.sum()  # only the refusal reads it
-    if not np.isfinite(total) or probs.min() < 0 or abs(total - 1.0) > PROBABILITY_SUM_TOL:
-        raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
-    cdf = np.cumsum(probs, out=out)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(uniforms, side="right")
-
-
 def _pairwise(start: int, n: int, leaf: Callable[[int, int], float]) -> float:
     """numpy's pairwise sum of the n values from `start`, its tree cut at
     leaves of at most max(BORN_BLOCK, PAIRWISE_LEAF) values, which numpy
@@ -596,23 +577,28 @@ def _born(amps: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, float]:
         return probs[a:b].sum()
 
     parts = _slabs(amps.size, len(leaves), lambda s: [leaf(a, b) for a, b in leaves[s]])
-    sums = iter([x for part in parts for x in part])
+    sums = (x for part in parts for x in part)
     return probs, _pairwise(0, amps.size, lambda a, b: next(sums))
 
 
 def _sample(probs: np.ndarray, total: float, uniforms, scratch: np.ndarray) -> np.ndarray:
-    """`_draw(probs / total, uniforms)`, bit for bit, where `total` is
-    probs.sum() and `scratch` a float array as long as probs. Up to
-    BORN_BLOCK values this is `_draw`. Above, probs is divided in slabs and
-    accumulated into its CDF in place. cdf / cdf[-1] is monotone, so a
-    uniform's index lies in the first block of BORN_BLOCK values whose
-    normalised last value exceeds it: only that block is normalised, into
-    `scratch`, and searched."""
+    """Indices drawn from the distribution p = probs / total by the given
+    uniforms in [0, 1), where probs are |psi|^2 or a marginal of it, `total`
+    their sum and `scratch` a float array as long as probs; probs is
+    overwritten. For each uniform this is the index `Generator.choice(len(p),
+    p=p)` draws from it, bit for bit: p's CDF, divided by its last value,
+    searched from the right. probs is divided and accumulated into its CDF
+    in place. Up to BORN_BLOCK values the CDF is then normalised whole, into
+    `scratch`. Above, the divide runs in slabs, and as cdf / cdf[-1] is
+    monotone, a uniform's index lies in the first block of BORN_BLOCK values
+    whose normalised last value exceeds it: only that block is normalised,
+    into `scratch`, and searched."""
+    if not 0 < total < np.inf:  # probs >= 0, and a finite positive total sums p to 1
+        raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
     if probs.size <= BORN_BLOCK:
         np.divide(probs, total, out=probs)
-        return _draw(probs, uniforms, out=scratch)
-    if not 0 < total < np.inf:  # |psi|^2 >= 0, and a finite positive total sums p to 1
-        raise ValueError(f"probabilities must be finite, non-negative and sum to 1, got sum {total}")
+        cdf = np.cumsum(probs, out=probs)
+        return np.divide(cdf, cdf[-1], out=scratch).searchsorted(uniforms, side="right")
     _slabs(probs.size, probs.size, lambda s: np.divide(probs[s], total, out=probs[s]))
     cdf = np.cumsum(probs, out=probs)
     # The last value of every block but the last, normalised, after one block of room.
@@ -633,13 +619,14 @@ def _sample(probs: np.ndarray, total: float, uniforms, scratch: np.ndarray) -> n
 def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: float) -> int:
     """Sample the wire's marginal of `src` with a uniform in [0, 1); write
     the collapsed, renormalized state into `dst`."""
-    probs = _born(src, dst)[0].reshape(dims)
+    marginal = _born(src, dst)[0].reshape(dims)
     other_axes = tuple(a for a in range(len(dims)) if a != wire)
     if other_axes:
-        probs = probs.sum(axis=other_axes)
-    probs = probs / probs.sum()  # out of place: `dst` is cleared below
-    digit = int(_draw(probs, uniform))
-    view, scale = (-1, dims[wire], prod(dims[wire + 1:])), np.sqrt(probs[digit])
+        marginal = marginal.sum(axis=other_axes)
+    total = marginal.sum()
+    # `_sample` overwrites a copy: `marginal` may lie in `dst`, cleared below.
+    digit = int(_sample(marginal.copy(), total, [uniform], np.empty(dims[wire]))[0])
+    view, scale = (-1, dims[wire], prod(dims[wire + 1:])), np.sqrt(marginal[digit] / total)
 
     def collapse(s):
         out = dst.reshape(view)[s]
@@ -728,17 +715,18 @@ def _plan(circuit: Circuit, measure: bool = True, plans: dict | None = None):
         yield close()
 
 
-def _evolve(
-    steps, repetitions: Iterable[Iterator[float]], dims, initial: StateVector | None, table: MeasurementTable
-) -> np.ndarray:
-    """For each repetition's iterator of uniforms, start from `initial`
+def _evolve(steps, uniforms: np.ndarray, dims, initial: StateVector | None) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of `uniforms`, one repetition: start from `initial`
     (|0...0> when None) and apply `steps` (reused, so a list when there are
-    several) on the two state buffers; a measurement samples with the next
-    uniform, records into `table` and collapses. Keeps the spare; returns
-    the last state's buffer."""
+    several rows) on the two state buffers; measurement j of row r samples
+    with uniforms[r, j] and collapses. Keeps the spare; returns the last
+    state's buffer and the digits, one row per repetition and one column per
+    measurement."""
     _check_fits(dims, 2)
     src, dst = _buffer(prod(dims)), _buffer(prod(dims))
-    for uniforms in repetitions:
+    digits = np.empty(uniforms.shape, dtype=np.intp)
+    for row, out in zip(uniforms, digits):
+        j = 0
         if initial is None:
             _slabs(src.size, src.size, lambda s: src[s].fill(0))
             src[0] = 1.0
@@ -751,11 +739,20 @@ def _evolve(
                     continue
                 _apply(step, src, dst)
             else:
-                wire, key = step
-                table.add(key, dims[wire], _measure_digit(src, dst, dims, wire, next(uniforms)))
+                out[j] = _measure_digit(src, dst, dims, step[0], row[j])
+                j += 1
             src, dst = dst, src
     _keep(dst)
-    return src
+    return src, digits
+
+
+def _table(circuit: Circuit, columns) -> MeasurementTable:
+    """The circuit's measurements, in program order, each recording the
+    next of `columns`, one digit per repetition."""
+    table = MeasurementTable()
+    for m, column in zip((op for op in circuit.ops if isinstance(op, Measurement)), columns):
+        table.extend(m.key, circuit.dims[circuit.wire_index(m.wire)], column)
+    return table
 
 
 def simulate(
@@ -776,8 +773,9 @@ def simulate(
     if initial is not None and initial.dims != dims:
         raise ValueError(f"initial state dims {initial.dims} do not match circuit dims {dims}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    table = MeasurementTable()
-    return StateVector(dims, _evolve(_plan(circuit, measure), [iter(rng.random, None)], dims, initial, table)), table
+    draws = len(circuit.measurement_keys()) if measure else 0
+    amps, digits = _evolve(_plan(circuit, measure), rng.random((1, draws)), dims, initial)
+    return StateVector(dims, amps), _table(circuit, digits.T)
 
 
 def _measurements_are_terminal(circuit: Circuit) -> bool:
@@ -798,12 +796,13 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     a non-negative integer. A repetition count whose uniforms and table
     would not fit in physical memory is refused with StateTooLargeError
     before anything is derived. When every measurement is terminal, the
-    state is evolved once, the CDF of its joint distribution is built once,
-    and one `searchsorted` places the first uniform of every repetition's
-    stream: O(D + reps*log D) for D amplitudes. Otherwise the gates are
-    planned once, identical gate ops sharing one plan, and each repetition
-    replays them with mid-circuit collapse, its measurements taking its
-    stream's uniforms in program order.
+    state is evolved once and `_sample` places the first uniform of every
+    repetition's stream in the CDF of its joint distribution, built once:
+    O(D + reps*log D) for D amplitudes. Otherwise the gates are planned
+    once, identical gate ops sharing one plan, and `_evolve` replays them
+    for each repetition with mid-circuit collapse, its measurements taking
+    its stream's uniforms in program order, each drawn by `_sample` from
+    the wire's marginal.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -816,12 +815,13 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
     terminal = _measurements_are_terminal(circuit)
     draws = 1 if terminal else len(measurements)
     # 8 B words per repetition: its uniforms, one table entry per
-    # measurement, and (terminal path) its index with a digit per wire.
-    check_memory(repetitions * (draws + len(measurements) + len(dims) + 1) * 8, _physical_memory(),
+    # measurement, and its digits: an index and one per wire (terminal
+    # path), or one per measurement (mid-circuit path).
+    words = draws + len(measurements) + (len(dims) + 1 if terminal else len(measurements))
+    check_memory(repetitions * words * 8, _physical_memory(),
                  f"the draws and table of {repetitions} repetitions")
     uniforms = spawned_uniforms(seed, repetitions, draws)
 
-    table = MeasurementTable()
     if terminal:
         amps = simulate(circuit, measure=False)[0].amps
         # |psi|^2, then its CDF, fills the first float half of the spare
@@ -832,9 +832,9 @@ def run(circuit: Circuit, repetitions: int, seed: int | None = None) -> RunResul
         index = _sample(probs, total, uniforms[:, 0], spare.view(float)[amps.size:])
         _keep(spare)
         digits = np.unravel_index(index, dims)
-        for m in measurements:
-            wire = circuit.wire_index(m.wire)
-            table.extend(m.key, dims[wire], digits[wire])
+        columns = [digits[circuit.wire_index(m.wire)] for m in measurements]
     else:
-        _keep(_evolve(list(_plan(circuit, plans={})), (iter(row.tolist()) for row in uniforms), dims, None, table))
-    return RunResult(table=table, repetitions=repetitions, seed=seed)
+        amps, digits = _evolve(list(_plan(circuit, plans={})), uniforms, dims, None)
+        _keep(amps)
+        columns = digits.T
+    return RunResult(table=_table(circuit, columns), repetitions=repetitions, seed=seed)

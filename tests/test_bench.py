@@ -68,6 +68,9 @@ def test_config_validation():
         BenchConfig(dims=(2,), depth=0)
     with pytest.raises(ValueError):
         BenchConfig(dims=(2,), budget_per_run=0)
+    with pytest.raises(ValueError, match="budget"):
+        BenchConfig(dims=(2,), budget_per_run=float("nan"))
+    assert BenchConfig(dims=(2,), budget_per_run=float("inf")).budget_per_run == float("inf")
 
 
 def test_tiny_budget_marks_first_row_incomplete():

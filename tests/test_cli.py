@@ -164,6 +164,15 @@ def test_bench_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget", ["0", "nan"])
+def test_bench_refuses_a_budget_that_is_not_positive(budget, tmp_path, capsys):
+    out = tmp_path / "frontier.csv"
+    code = cli(["bench", "--dims", "2,3", "--depth", "5", "--budget", budget, "--max-qudits", "4", "--seed", "1",
+                "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: budget") and not out.exists()
+
+
 def test_bench_rows_replay_identically_ignoring_wall(tmp_path, capsys):
     def sweep(path):
         cli(

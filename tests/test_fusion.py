@@ -100,7 +100,7 @@ def _per_op(circuit: Circuit, seed: int):
     for op in circuit.ops:
         if isinstance(op, Measurement):
             wire, out = circuit.wire_index(op.wire), np.empty_like(amps)
-            table.add(op.key, dims[wire], simulator._measure_digit(amps, out, dims, wire, rng.random()))
+            table.extend(op.key, dims[wire], [simulator._measure_digit(amps, out, dims, wire, rng.random())])
             amps = out
         else:
             wires = [circuit.wire_index(w) for w in op.wires]

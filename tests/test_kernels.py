@@ -25,15 +25,17 @@ from quditsim import StateVector, apply_gate, full_unitary, run, simulate
 from quditsim import simulator
 from quditsim.circuit import _embed
 from quditsim.gates import GateKind, GateSpec, is_prime, resolve
-from quditsim.simulator import DENSE, DIAGONAL, PERMUTATION, GateKernel, MeasurementTable, plan_gate
+from quditsim.simulator import DENSE, DIAGONAL, PERMUTATION, GateKernel, plan_gate
 from conftest import random_mixed_circuit, random_unit_amps
 
 TOL = 1e-12
-# (FOLD_MAX, GATHER_MAX, MIN_INNER): the defaults, then every size switch
-# flipped, so small registers take the paths large ones take.
+# (FOLD_MAX, GATHER_MAX, MIN_INNER): the defaults; every size switch flipped,
+# so small registers take the paths large ones take; and no folded GEMM, so
+# the (L, D, R) matmul runs on the many-row slices of small registers.
 VARIANTS = {
     "default": (simulator.FOLD_MAX, simulator.GATHER_MAX, simulator.MIN_INNER),
     "flipped": (0, 0, 1),
+    "unfolded": (1, simulator.GATHER_MAX, simulator.MIN_INNER),
 }
 DIAGONAL_KINDS = {"Z", "S", "U8", "CZ"}
 
@@ -270,11 +272,11 @@ def test_split_born_reset_and_draw_are_bit_identical(dims, seed, workers, block)
         simulator.release_buffers()
         simulator._keep(np.full(size, np.nan, dtype=complex))
         simulator._keep(np.full(size, np.nan, dtype=complex))
-        zero = simulator._evolve([], [iter(())], dims, None, MeasurementTable()).copy()
-        copied = simulator._evolve([], [iter(())], dims, initial, MeasurementTable()).copy()
+        zero = simulator._evolve([], np.empty((1, 0)), dims, None)[0].copy()
+        copied = simulator._evolve([], np.empty((1, 0)), dims, initial)[0].copy()
         probs, total = simulator._born(initial.amps, np.full(size, np.nan, dtype=complex))
         probs = probs.copy()
-        index = simulator._draw(probs.copy(), uniforms)
+        index = simulator._sample(probs.copy(), total, uniforms, np.full(size, np.nan))
         simulator.release_buffers()
         return zero, copied, probs, index, total
 

@@ -1,11 +1,12 @@
-"""The exact batched sampler against numpy's own `Generator.choice`.
+"""The one exact batched sampler against numpy's own `Generator.choice`.
 
-`_draw(p, u)` must return the index `default_rng(s).choice(len(p), p=p)`
-returns when `u` is the first uniform of stream `s`, for every stream. `run`
-must reproduce, table for table, the per-repetition `choice` sampler it
-replaced, on terminal and on mid-circuit measurement alike. Terminal
-sampling's two passes, `_born`'s total and `_sample`'s blocked draw, must
-equal `probs.sum()` and `_draw` bit for bit.
+`_sample(p, 1.0, u, scratch)` must return the index
+`default_rng(s).choice(len(p), p=p)` returns when `u` is the first uniform
+of stream `s`, for every stream. `run` must reproduce, table for table, the
+per-repetition `choice` sampler it replaced, on terminal and on mid-circuit
+measurement alike. Terminal sampling's two passes, `_born`'s total and
+`_sample`'s blocked draw, must equal `probs.sum()` and the one-block
+search over the whole CDF bit for bit.
 """
 
 from math import prod
@@ -29,7 +30,7 @@ from quditsim import (
     simulate,
 )
 from quditsim import simulator
-from quditsim.simulator import _born, _draw, _sample
+from quditsim.simulator import _born, _sample
 from conftest import random_mixed_circuit
 
 STREAMS = 500
@@ -64,30 +65,35 @@ def test_draw_equals_generator_choice(p, seed):
     streams = np.random.SeedSequence(seed).spawn(STREAMS)
     expected = [int(np.random.default_rng(s).choice(len(p), p=p)) for s in streams]
     uniforms = [np.random.default_rng(s).random() for s in streams]
-    assert _draw(p, uniforms).tolist() == expected
-    assert [int(_draw(p, u)) for u in uniforms[:20]] == expected[:20]  # one uniform at a time
+    assert _sample(p.copy(), 1.0, uniforms, np.empty(p.size)).tolist() == expected
+    one_at_a_time = [int(_sample(p.copy(), 1.0, [u], np.empty(p.size))[0]) for u in uniforms[:20]]
+    assert one_at_a_time == expected[:20]
 
 
 def test_draw_never_lands_on_a_zero_outcome_at_a_cdf_step():
     # choice picks the first outcome whose CDF exceeds u, so a uniform on a
     # step of the CDF, 0.0 included, skips every zero-probability outcome.
-    assert _draw(np.array([0.0, 0.0, 1.0]), [0.0]).tolist() == [2]
-    assert _draw(np.array([0.5, 0.0, 0.5]), [0.0, 0.5, 0.75]).tolist() == [0, 2, 2]
+    def draw(p, uniforms):
+        return _sample(np.array(p), 1.0, uniforms, np.empty(len(p)))
+
+    assert draw([0.0, 0.0, 1.0], [0.0]).tolist() == [2]
+    assert draw([0.5, 0.0, 0.5], [0.0, 0.5, 0.75]).tolist() == [0, 2, 2]
     p = np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0])
     steps = np.concatenate([[0.0], p.cumsum()])
-    assert (p[_draw(p, steps[steps < 1])] > 0).all()
+    assert (p[draw(p, steps[steps < 1])] > 0).all()
 
 
-@pytest.mark.parametrize(
-    "p",
-    [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.5, np.inf], [0.5, 0.4], [0.6, 0.6]],
-)
+# Of choice's refusals the sampler needs those of a non-finite total: it is
+# given |psi|^2 or a marginal and their sum, so no weight is negative, and it
+# divides by that sum, so any finite positive one sums p to 1. The ids number
+# the cases as in the list of choice's five refusals that `_draw` checked.
+@pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [0.5, np.inf]], ids=["p1", "p2"])
 def test_draw_refuses_what_choice_refuses(p):
     p = np.array(p)
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(len(p), p=p)
     with pytest.raises(ValueError, match="probabilities"):
-        _draw(p, [0.5])
+        _sample(p, p.sum(), [0.5], np.empty(p.size))
 
 
 def _reference_run(circuit: Circuit, repetitions: int, seed: int) -> MeasurementTable:
@@ -118,7 +124,7 @@ def _reference_run(circuit: Circuit, repetitions: int, seed: int) -> Measurement
             digits = mixed_radix_decode(index, dims)
             for m in measurements:
                 wire = circuit.wire_index(m.wire)
-                table.add(m.key, dims[wire], digits[wire])
+                table.extend(m.key, dims[wire], [digits[wire]])
         return table
     for stream in streams:
         rng = np.random.default_rng(stream)
@@ -138,7 +144,7 @@ def _reference_run(circuit: Circuit, repetitions: int, seed: int) -> Measurement
             collapsed = np.zeros(view, dtype=complex)
             collapsed[:, digit] = state.amps.reshape(view)[:, digit] / np.sqrt(probs[digit])
             state = StateVector(dims, collapsed)
-            table.add(op.key, dims[wire], digit)
+            table.extend(op.key, dims[wire], [digit])
     return table
 
 
@@ -177,7 +183,7 @@ def test_extend_keeps_key_order_and_repetitions():
     assert table.repetitions() == 3
     assert table.lines() == ["b=201", "a=10,0,7"]
     assert all(type(x) is int for digits in table.records.values() for x in digits)
-    table.add("b", 3, 1)
+    table.extend("b", 3, [1])
     table.extend("a", 11, [4])
     assert list(table.records) == ["b", "a"] and table.repetitions() == 4
     table.extend("b", 3, [])
@@ -228,7 +234,7 @@ def test_blocked_draw_equals_draw_and_choice(monkeypatch, block):
         cdf /= cdf[-1]
         steps = cdf[block - 1::block]  # every block's last CDF value, and values on zero runs
         uniforms = np.concatenate([[0.0, 1 - 2**-53], steps[steps < 1], cdf[cdf < 1][:50], rng.random(200)])
-        expected = _draw(p.copy(), uniforms)
+        expected = cdf.searchsorted(uniforms, side="right")
         got = _sample(probs.copy(), total, uniforms, np.full(size, np.nan))
         assert np.array_equal(got, expected), size
         for seed in range(20):  # and numpy's own sampler, one stream at a time
@@ -239,8 +245,9 @@ def test_blocked_draw_equals_draw_and_choice(monkeypatch, block):
 @pytest.mark.parametrize("size", [7, 8 * 5 + 1])
 def test_blocked_draw_refuses_a_nan_state(monkeypatch, size):
     monkeypatch.setattr(simulator, "BORN_BLOCK", 8)
-    amps = np.full(size, size**-0.5, dtype=complex)
-    amps[3] = np.nan
-    probs, total = _born(amps, np.empty(size, dtype=complex))
-    with pytest.raises(ValueError, match="probabilities"):
-        _sample(probs, total, [0.5], np.empty(size))
+    for bad in (np.nan, np.inf):
+        amps = np.full(size, size**-0.5, dtype=complex)
+        amps[3] = bad
+        probs, total = _born(amps, np.empty(size, dtype=complex))
+        with pytest.raises(ValueError, match="probabilities"):
+            _sample(probs, total, [0.5], np.empty(size))

@@ -356,15 +356,21 @@ def test_preflight_is_skipped_when_memory_is_unknown(monkeypatch):
     assert final.amps[0] == 1
 
 
-@pytest.mark.parametrize("midcircuit", [False, True], ids=["terminal", "midcircuit"])
-def test_run_refuses_repetitions_whose_draws_and_table_do_not_fit(monkeypatch, midcircuit):
-    # Per repetition, 8 B words: its uniforms (1 terminal, 4 mid-circuit),
-    # a table entry per measurement (3 or 4), an index and a digit per wire (4).
+@pytest.mark.parametrize("case", ["terminal", "midcircuit", "repeated"])
+def test_run_refuses_repetitions_whose_draws_and_table_do_not_fit(monkeypatch, case):
+    # Per repetition, 8 B words: its uniforms (1 terminal, else 1 per
+    # measurement), a table entry per measurement, and its digits: an index
+    # and one per wire (terminal), else one per measurement. Terminal: 1 + 3
+    # + 4; mid-circuit, 4 measurements of 3 wires: 4 + 4 + 4; one wire
+    # measured 5 times: 5 + 5 + 5.
     circuit = ghz_circuit(3, 3, measure=True)
-    if midcircuit:
+    if case == "midcircuit":
         circuit.apply(single("X", 3), circuit.qudits[0])
         circuit.measure(circuit.qudits[0], "after")
-    need = 1000 * (12 if midcircuit else 8) * 8
+    if case == "repeated":
+        steps = [("H", "q0")] + [step for k in range(4) for step in ((MEASURE, "q0", f"m{k}"), ("X", "q0"))]
+        circuit, _, _ = build(3, *steps, (MEASURE, "q0", "last"))
+    need = 1000 * {"terminal": 8, "midcircuit": 12, "repeated": 15}[case] * 8
     derived = []
     monkeypatch.setattr(simulator, "spawned_uniforms", lambda *args: derived.append(args))
     monkeypatch.setattr(simulator, "_physical_memory", lambda: need - 1)
