@@ -624,7 +624,7 @@ def _measure_digit(src: np.ndarray, dst: np.ndarray, dims, wire: int, uniform: f
     if other_axes:
         marginal = marginal.sum(axis=other_axes)
     total = marginal.sum()
-    # `_sample` overwrites a copy: `marginal` may lie in `dst`, cleared below.
+    # `_sample` overwrites its input, and the scale reads `marginal` after it.
     digit = int(_sample(marginal.copy(), total, [uniform], np.empty(dims[wire]))[0])
     view, scale = (-1, dims[wire], prod(dims[wire + 1:])), np.sqrt(marginal[digit] / total)
 
